@@ -8,7 +8,7 @@ Design (idiomatic Ray, NOT a Spark port):
   splitmix64(src) % P`` and are written as hash-partitioned Parquet
   (``partition_cols``), vertices likewise — resumable, partition-pruned
   storage that one actor each loads.
-- ``CsrShard`` (one actor per partition, ``num_cpus=1``) loads its edge
+- ``CsrShard`` (one actor per partition, ``num_cpus=0``) loads its edge
   slice ONCE, sorts it by (dst_part, dst), and precomputes for every
   destination partition j: the segment slice, the per-unique-destination
   run starts (so scatter is one ``np.add.reduceat`` / ``minimum.reduceat``
@@ -42,6 +42,16 @@ Design (idiomatic Ray, NOT a Spark port):
   ``hash(dst)``; every shard then holds a replica slice of the hub's
   adjacency plus the hub's (vid → rank) lookup, refreshed each superstep
   via one broadcast — scatter stays balanced under power-law skew.
+- **Recycled actors.** A shard actor outlives its graph: ``Graph.close()``
+  calls ``release()`` (every attribute dropped) and parks the actor on an
+  idle list; the next pool calls ``reload(part, num_parts, manifest,
+  route)``, which clears ``__dict__`` and re-runs ``__init__``. Clearing
+  ``__dict__`` is what drops the lazily built attributes (``_w32``,
+  ``_w_int``, ``_dist_cols``) and per-algorithm state (``scc_*``,
+  ``hindex_*``, ...), so a reloaded shard is exactly a fresh one, without
+  the ~2.5 s process start and module import of a new actor. Only
+  ``close()`` parks actors: an unclosed Graph's actors die with its
+  handles. An idle actor holds about 105-110 MB PSS (4-core host).
 
 Determinism: owned vids sorted, edges sorted by (dst_part, dst), senders
 always merged in ascending partition order ⇒ identical float summation
@@ -308,6 +318,20 @@ class CsrShard:
         self.val: np.ndarray | None = None  # current vertex vector
         self.hub_vals: np.ndarray | None = None  # ranks of hub vids (broadcast)
         self.hub_outdeg: np.ndarray | None = None
+
+    # ------------------------------------------------------------- recycling
+
+    def reload(self, part: int, num_parts: int, manifest: dict,
+               route: str = "packed") -> None:
+        """Load another partition into this recycled actor, as a fresh
+        actor's ``__init__`` would (module docstring: no attribute of the
+        previous graph survives)."""
+        self.__dict__.clear()
+        self.__init__(part, num_parts, manifest, route)
+
+    def release(self) -> None:
+        """Drop the partition's arrays before the actor goes idle."""
+        self.__dict__.clear()
 
     # ---------------------------------------------------------- init plumbing
 

@@ -12,7 +12,7 @@ def test_aggregate_messages_sum_matches_weighted_indegree_of_src_vals():
     """msg = src_val * w summed at dst == Σ over in-edges of value(src)·w."""
     edges, verts = FIX["parallel_self"]
     vals = pd.DataFrame({"vid": verts.astype(np.int64), "value": (verts * 10).astype(np.int64)})
-    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=3, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=3)
     try:
         got = (
             g.aggregate_messages(lambda sv, w: sv * w.astype(np.int64), agg="sum",
@@ -37,7 +37,7 @@ def test_aggregate_messages_sum_matches_weighted_indegree_of_src_vals():
 def test_aggregate_messages_min_default_values():
     """default values = vid; min-aggregate at dst = min src vid over in-edges."""
     edges, verts = FIX["two_cliques_bridge"]
-    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=2, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=2)
     try:
         got = (
             g.aggregate_messages(lambda sv, w: sv, agg="min")
@@ -64,7 +64,7 @@ def test_shortest_paths_vs_networkx(name):
         (int(a), int(b)) for a, b in zip(edges["src"], edges["dst"]) if a != b
     )
     landmarks = [int(verts[0]), int(verts[-1])]
-    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=3, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": verts.astype(np.int64)}), num_parts=3)
     try:
         got = g.shortest_paths(landmarks).to_pandas().sort_values("vid").reset_index(drop=True)
     finally:

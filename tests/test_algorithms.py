@@ -11,7 +11,7 @@ FIX = fixture_graphs()
 def make_graph(name, **kw):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    return Graph(edges, vdf, num_parts=3, actor_num_cpus=0, **kw)
+    return Graph(edges, vdf, num_parts=3, **kw)
 
 
 def ranks_df(tbl) -> pd.DataFrame:
@@ -59,7 +59,7 @@ def test_salted_hub_split_matches_unsalted():
     """star_hub with a low salt threshold must give identical results."""
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         man = g._stage("directed")
         assert man["hubs"] == [0]  # the hub got salted
@@ -108,7 +108,7 @@ def test_per_dest_scatter_route_bit_identical(name):
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     res = {}
     for route in ("packed", "per_dest"):
-        g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, scatter_route=route)
+        g = Graph(edges, vdf, num_parts=3, scatter_route=route)
         try:
             res[route] = {
                 "pr": ranks_df(g.pagerank(max_iter=8)),
@@ -130,7 +130,7 @@ def test_per_dest_route_scc_trim_identical():
     verts = pd.DataFrame({"vid": np.arange(40, dtype=np.int64)})
     res = {}
     for route in ("packed", "per_dest"):
-        g = Graph(edges, verts, num_parts=3, actor_num_cpus=0, scatter_route=route)
+        g = Graph(edges, verts, num_parts=3, scatter_route=route)
         try:
             res[route] = (
                 g.strongly_connected_components()

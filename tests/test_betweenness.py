@@ -26,7 +26,7 @@ def _nx_graph(edges, verts):
 def make_graph(name, **kw):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    return Graph(edges, vdf, num_parts=3, actor_num_cpus=0, **kw)
+    return Graph(edges, vdf, num_parts=3, **kw)
 
 
 @pytest.mark.parametrize("name", list(FIX.keys()))
@@ -53,7 +53,7 @@ def test_betweenness_batching_invariant_and_dataset_mode():
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     outs = []
     for parts, batch in ((2, 1), (5, 16)):
-        g = Graph(edges, vdf, num_parts=parts, actor_num_cpus=0)
+        g = Graph(edges, vdf, num_parts=parts)
         try:
             outs.append(
                 g.betweenness_centrality(batch=batch)
@@ -184,7 +184,7 @@ def test_betweenness_fixed_tracks_float_and_batches():
     outs = []
     for parts, batch in ((2, 3), (4, 16)):
         vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-        g = Graph(edges, vdf, num_parts=parts, actor_num_cpus=0)
+        g = Graph(edges, vdf, num_parts=parts)
         try:
             outs.append(
                 g.betweenness_fixed(pivots, scale=scale, batch=batch)

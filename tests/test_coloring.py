@@ -62,7 +62,7 @@ def coloring_oracle(edges, verts, seed, max_colors=100, max_rounds=100):
 def make_graph(name, **kw):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    return Graph(edges, vdf, num_parts=3, actor_num_cpus=0, **kw)
+    return Graph(edges, vdf, num_parts=3, **kw)
 
 
 @pytest.mark.parametrize("name", list(FIX.keys()))
@@ -89,7 +89,7 @@ def test_coloring_parallelism_invariant():
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     outs = []
     for parts in (2, 5):
-        g = Graph(edges, vdf, num_parts=parts, actor_num_cpus=0)
+        g = Graph(edges, vdf, num_parts=parts)
         try:
             outs.append(
                 g.greedy_coloring(seed=11, as_table=True)
@@ -105,7 +105,7 @@ def test_coloring_parallelism_invariant():
 def test_coloring_salted_hub():
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         got = g.greedy_coloring(seed=5, as_table=True).to_pandas()
     finally:

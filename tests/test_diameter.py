@@ -31,7 +31,7 @@ def double_sweep_oracle(edges_df, start=None):
 
 
 def _run(edges_df, **kw):
-    g = Graph(edges_df, num_parts=3, actor_num_cpus=0)
+    g = Graph(edges_df, num_parts=3)
     try:
         t = g.diameter_lower_bound(**kw).to_pandas()
     finally:

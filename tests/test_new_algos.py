@@ -21,7 +21,7 @@ FIX = fixture_graphs()
 def make_graph(name, **kw):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    return Graph(edges, vdf, num_parts=3, actor_num_cpus=0, **kw)
+    return Graph(edges, vdf, num_parts=3, **kw)
 
 
 def by_vid(tbl) -> pd.DataFrame:
@@ -56,7 +56,7 @@ def test_pagerank_tol_approaches_static_fixpoint():
 def test_pagerank_tol_salted_hub():
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         got = by_vid(g.pagerank_tol(1e-4))
     finally:
@@ -115,7 +115,7 @@ def test_scc_cycle_and_dag():
         }
     )
     verts = np.array([0, 1, 2, 3, 4, 5, 6, 10, 11, 99])
-    g = Graph(edges, pd.DataFrame({"vid": verts}), num_parts=3, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": verts}), num_parts=3)
     try:
         got = by_vid(g.strongly_connected_components())
     finally:
@@ -132,7 +132,7 @@ def test_scc_random_matches_networkx(seed):
         {"src": rng.integers(0, n, m), "dst": rng.integers(0, n, m), "w": 1}
     )
     verts = np.arange(n)
-    g = Graph(edges, pd.DataFrame({"vid": verts}), num_parts=3, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": verts}), num_parts=3)
     try:
         got = by_vid(g.strongly_connected_components())
     finally:
@@ -208,7 +208,7 @@ def test_hits_salted_hub_and_raw_exact():
 
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         got = by_vid(g.hits(max_iter=6))
         raw = by_vid(g.hits(max_iter=4, normalize=False))
@@ -276,7 +276,7 @@ def test_random_walks_parallelism_invariant():
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     outs = []
     for P in (1, 4):
-        g = Graph(edges, vdf, num_parts=P, actor_num_cpus=0)
+        g = Graph(edges, vdf, num_parts=P)
         try:
             df = g.random_walks(walks_per_vertex=1, length=6, seed=3).to_pandas()
         finally:
@@ -351,7 +351,7 @@ def test_mis_matches_oracle_and_is_valid(name):
 def test_mis_salted_hub():
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         got = g.maximal_independent_set(seed=5).to_pandas()
     finally:

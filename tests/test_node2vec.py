@@ -79,7 +79,7 @@ def edges_ds():
 )
 def test_node2vec_matches_brute_oracle(edges_ds, p, q, mults, seed, length):
     (src, dst, w), ds = edges_ds
-    g = Graph(ds, num_parts=3, actor_num_cpus=0)
+    g = Graph(ds, num_parts=3)
     try:
         got = _norm(
             g.node2vec_walks(p=p, q=q, length=length, seed=seed, as_table=True)
@@ -93,7 +93,7 @@ def test_node2vec_matches_brute_oracle(edges_ds, p, q, mults, seed, length):
 
 def test_p1_q1_bit_identical_to_first_order(edges_ds):
     _, ds = edges_ds
-    g = Graph(ds, num_parts=3, actor_num_cpus=0)
+    g = Graph(ds, num_parts=3)
     try:
         first = _norm(
             g.random_walks(walks_per_vertex=2, length=6, seed=3, as_table=True)
@@ -111,7 +111,7 @@ def test_p1_q1_bit_identical_to_first_order(edges_ds):
 
 def test_parallelism_invariance_and_dataset_mode(edges_ds):
     (src, dst, w), ds = edges_ds
-    g = Graph(ds, num_parts=5, actor_num_cpus=0)
+    g = Graph(ds, num_parts=5)
     try:
         got = _norm(g.node2vec_walks(p=2, q=0.5, length=5, seed=42).to_pandas())
     finally:
@@ -122,7 +122,7 @@ def test_parallelism_invariance_and_dataset_mode(edges_ds):
 
 def test_nonpositive_pq_rejected(edges_ds):
     _, ds = edges_ds
-    g = Graph(ds, num_parts=2, actor_num_cpus=0)
+    g = Graph(ds, num_parts=2)
     try:
         with pytest.raises(ValueError, match="positive"):
             g.node2vec_walks(p=0, q=1, length=2, as_table=True)

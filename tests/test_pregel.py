@@ -18,7 +18,7 @@ FIX = fixture_graphs()
 def make_graph(name, **kw):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    return Graph(edges, vdf, num_parts=3, actor_num_cpus=0, **kw)
+    return Graph(edges, vdf, num_parts=3, **kw)
 
 
 def by_vid(tbl) -> pd.DataFrame:
@@ -140,8 +140,8 @@ def test_pregel_salted_hub_equivalence():
         variant="undirected",
         max_iter=50,
     )
-    g1 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
-    g2 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g1 = Graph(edges, vdf, num_parts=3)
+    g2 = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         plain = by_vid(g1.pregel(**kw))
         salted = by_vid(g2.pregel(**kw))
@@ -193,8 +193,8 @@ def test_parallel_ppr_salted_hub():
     edges, verts = FIX["star_hub"]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     sources = [0, 1]
-    g1 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
-    g2 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0, salt_threshold=50)
+    g1 = Graph(edges, vdf, num_parts=3)
+    g2 = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
         plain = by_vid(g1.parallel_personalized_pagerank(sources, max_iter=6))
         salted = by_vid(g2.parallel_personalized_pagerank(sources, max_iter=6))
@@ -216,17 +216,17 @@ def test_pregel_checkpoint_resume_bit_identical(tmp_path):
         halt="all",
     )
     ck = str(tmp_path / "ck")
-    g1 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
+    g1 = Graph(edges, vdf, num_parts=3)
     try:
         full = by_vid(g1.pregel(**kw, max_iter=6))
     finally:
         g1.close()
-    g2 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
+    g2 = Graph(edges, vdf, num_parts=3)
     try:
         g2.pregel(**kw, max_iter=2, checkpoint_dir=ck)  # "killed" after 2
     finally:
         g2.close()
-    g3 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
+    g3 = Graph(edges, vdf, num_parts=3)
     try:
         resumed = by_vid(g3.pregel(**kw, max_iter=6, checkpoint_dir=ck, resume=True))
     finally:
@@ -248,7 +248,7 @@ def test_pregel_checkpoint_resume_bit_identical(tmp_path):
         resumed["value"].to_numpy().view(np.int64),
     ), "resume must be BIT-identical"
     # edited callables change the fingerprint → resume starts fresh, not mixed
-    g4 = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
+    g4 = Graph(edges, vdf, num_parts=3)
     try:
         other = by_vid(
             g4.pregel(
@@ -265,7 +265,7 @@ def test_pregel_checkpoint_resume_bit_identical(tmp_path):
     finally:
         g4.close()
     one = by_vid(
-        Graph(edges, vdf, num_parts=3, actor_num_cpus=0).pregel(
+        Graph(edges, vdf, num_parts=3).pregel(
             init=lambda vids: np.ones(len(vids), np.float64),
             send_msg=lambda v, w, od: v / np.maximum(od, 1.0) * w,
             vprog=lambda old, msg, got: 0.30 + 0.70 * msg,

@@ -25,7 +25,7 @@ SET = settings(
 def graph_of(edges_df):
     verts = np.unique(np.concatenate([edges_df["src"], edges_df["dst"]]))
     return (
-        Graph(edges_df, pd.DataFrame({"vid": verts}), num_parts=3, actor_num_cpus=0),
+        Graph(edges_df, pd.DataFrame({"vid": verts}), num_parts=3),
         verts,
     )
 

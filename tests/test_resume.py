@@ -26,17 +26,17 @@ def test_pagerank_resume_bit_identical(graph_edges, tmp_path):
     ck = str(tmp_path / "ck")
 
     # uninterrupted run
-    g1 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g1 = Graph(edf, vdf, num_parts=3)
     full = g1.pagerank(max_iter=8).to_pandas().sort_values("vid").reset_index(drop=True)
     g1.close()
 
     # interrupted: 4 iterations with checkpoints, then fresh engine resumes
-    g2 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g2 = Graph(edf, vdf, num_parts=3)
     g2.pagerank(max_iter=4, checkpoint_dir=ck)
     g2.close()
     assert os.path.exists(os.path.join(ck, "_manifest-000003.json"))
 
-    g3 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g3 = Graph(edf, vdf, num_parts=3)
     resumed = (
         g3.pagerank(max_iter=8, checkpoint_dir=ck, resume=True)
         .to_pandas()
@@ -55,16 +55,16 @@ def test_incomplete_checkpoint_ignored(graph_edges, tmp_path):
     """A manifest without its part files (kill mid-write) must be skipped."""
     vdf, edf = graph_edges
     ck = str(tmp_path / "ck2")
-    g = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g = Graph(edf, vdf, num_parts=3)
     g.pagerank(max_iter=3, checkpoint_dir=ck)
     g.close()
     # corrupt newest iteration: delete one part file
     os.remove(os.path.join(ck, "iter=000002", "part-1.parquet"))
 
-    g2 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g2 = Graph(edf, vdf, num_parts=3)
     resumed = g2.pagerank(max_iter=3, checkpoint_dir=ck, resume=True)
     g2.close()
-    g3 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g3 = Graph(edf, vdf, num_parts=3)
     full = g3.pagerank(max_iter=3)
     g3.close()
     a = resumed.to_pandas().sort_values("vid")["rank"].to_numpy()
@@ -76,7 +76,7 @@ def test_cc_resume_and_metrics(graph_edges, tmp_path):
     vdf, edf = graph_edges
     ck = str(tmp_path / "ck3")
     wd = str(tmp_path / "wd")
-    g = Graph(edf, vdf, num_parts=3, actor_num_cpus=0, workdir=wd)
+    g = Graph(edf, vdf, num_parts=3, workdir=wd)
     comp = g.connected_components(checkpoint_dir=ck).to_pandas()
     g.close()
     # metrics lineage written per superstep
@@ -84,7 +84,7 @@ def test_cc_resume_and_metrics(graph_edges, tmp_path):
     assert any(r["algo"] == "cc" for r in lines)
     assert lines[-1]["changed"] == 0
     # resume from the converged checkpoint returns identical labels
-    g2 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g2 = Graph(edf, vdf, num_parts=3)
     comp2 = g2.connected_components(checkpoint_dir=ck, resume=True).to_pandas()
     g2.close()
     pd.testing.assert_frame_equal(
@@ -128,16 +128,16 @@ def test_hits_resume_bit_identical(graph_edges, tmp_path):
     vdf, edf = graph_edges
     ck = str(tmp_path / "ck_hits")
 
-    g1 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g1 = Graph(edf, vdf, num_parts=3)
     full = g1.hits(max_iter=8).to_pandas().sort_values("vid").reset_index(drop=True)
     g1.close()
 
-    g2 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g2 = Graph(edf, vdf, num_parts=3)
     g2.hits(max_iter=4, checkpoint_dir=ck)
     g2.close()
     assert os.path.exists(os.path.join(ck, "_manifest-000003.json"))
 
-    g3 = Graph(edf, vdf, num_parts=3, actor_num_cpus=0)
+    g3 = Graph(edf, vdf, num_parts=3)
     resumed = (
         g3.hits(max_iter=8, checkpoint_dir=ck, resume=True)
         .to_pandas()

@@ -40,12 +40,12 @@ def test_pagerank_float32_resume(tmp_path):
 
     edges = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 0], "w": 1})
     ck = str(tmp_path / "ck")
-    g = Graph(edges, pd.DataFrame({"vid": np.arange(4)}), num_parts=2, actor_num_cpus=0)
+    g = Graph(edges, pd.DataFrame({"vid": np.arange(4)}), num_parts=2)
     try:
         full = g.pagerank(max_iter=6, dtype="float32", checkpoint_dir=ck).to_pandas()
     finally:
         g.close()
-    g2 = Graph(edges, pd.DataFrame({"vid": np.arange(4)}), num_parts=2, actor_num_cpus=0)
+    g2 = Graph(edges, pd.DataFrame({"vid": np.arange(4)}), num_parts=2)
     try:
         resumed = g2.pagerank(
             max_iter=6, dtype="float32", checkpoint_dir=ck, resume=True

@@ -92,7 +92,7 @@ def _partition_ids(colors: np.ndarray) -> np.ndarray:
 def test_wl_bit_parity_and_classical(name):
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": np.sort(verts).astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=3, actor_num_cpus=0)
+    g = Graph(edges, vdf, num_parts=3)
     try:
         got = (
             g.wl_refine(rounds=3, as_table=True)
@@ -115,7 +115,7 @@ def test_wl_parallelism_invariant():
     vdf = pd.DataFrame({"vid": np.sort(verts).astype(np.int64)})
     outs = []
     for parts in (1, 3):
-        g = Graph(edges, vdf, num_parts=parts, actor_num_cpus=0)
+        g = Graph(edges, vdf, num_parts=parts)
         try:
             outs.append(
                 g.wl_refine(rounds=4, as_table=True)
@@ -135,7 +135,7 @@ def test_wl_distinguishes_structure():
     separate isomorphic positions)."""
     edges, verts = FIX["two_cliques_bridge"]
     vdf = pd.DataFrame({"vid": np.sort(verts).astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=2, actor_num_cpus=0)
+    g = Graph(edges, vdf, num_parts=2)
     try:
         got = (
             g.wl_refine(rounds=2, as_table=True)
@@ -156,7 +156,7 @@ def test_wl_distinguishes_structure():
 def test_wl_rounds_validation():
     edges, verts = FIX["ring_n"]
     vdf = pd.DataFrame({"vid": np.sort(verts).astype(np.int64)})
-    g = Graph(edges, vdf, num_parts=1, actor_num_cpus=0)
+    g = Graph(edges, vdf, num_parts=1)
     try:
         with pytest.raises(ValueError):
             g.wl_refine(rounds=0)
