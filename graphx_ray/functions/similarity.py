@@ -855,6 +855,8 @@ def dim_absmax(
         vectors.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
         ["dim"], sum_col="m", agg="max", num_partitions=num_partitions,
     ).to_pandas()  # D rows
+    if folded.empty:  # empty corpus (to_pandas drops the schema)
+        return np.empty(0, np.float32)
     folded = folded.sort_values("dim")
     return folded["m"].to_numpy().astype(np.float32)
 
@@ -1273,7 +1275,7 @@ def kcenter_select(
     degenerate all-equal corpus still yields k distinct rows). Returns a
     k-row table (rank, vec_id, d2) where d2 = the point's distance to
     the chosen set at selection time (the coverage-radius curve; the
-    seed row carries the −1 sentinel).
+    seed row carries the −1 sentinel); an empty corpus gives 0 rows.
 
     Scale shape: k streaming passes (inherent to Gonzalez), each a
     zero-shuffle map_batches with the ≤ k×D int64 center matrix
@@ -1306,6 +1308,8 @@ def kcenter_select(
     cands = vectors.map_batches(
         seed_part, batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
+    if cands.empty:  # empty corpus: nothing to select
+        return KCENTER_SCHEMA.empty_table()
     cands = cands.sort_values(id_col).iloc[0]
     chosen_ids = [int(cands[id_col])]
     chosen_q = [np.asarray(cands["q"], np.int64)]

@@ -1,4 +1,5 @@
-"""Graph facade + superstep drivers for the four algorithms (SURVEY.md §2.8).
+"""Graph facade + the superstep drivers of every iterative algorithm
+(SURVEY.md §2.8).
 
 Semantics are pinned to the published GraphFrames/GraphX contracts recorded
 in SURVEY.md Appendix A (the reference wrapped GraphFrames thinly; its mount
@@ -13,10 +14,26 @@ was empty, so Appendix A is the contract the north_rule binds to):
 - ``triangle_count``: canonical simple graph, per-vertex counts (A.4) —
   non-iterative path in pipelines/triangles.py.
 
-Each iterative algorithm is a driver-side superstep loop over a ``CsrShard``
-actor pool: scatter (per-destination-partition pre-aggregated partials) →
-ref-routed shuffle through the object store → gather → optional per-
-superstep checkpoint (resume replays from the last complete manifest).
+Iterative algorithms run over a ``CsrShard`` actor pool: scatter
+(per-destination-partition pre-aggregated partials) → ref-routed shuffle
+through the object store → gather. Every single-exchange algorithm
+(PageRank and its tol/personalized/parallel variants, CC, LPA and seeded
+LPA, ``pregel`` with everything built on it, the BFS/shortest-path/
+widest-path/topo-layer fixpoints, path counts and the walks) runs on ONE
+loop, ``Graph._supersteps``. It owns the resume start, the salted-hub
+broadcast before each scatter, the dispatch window, one metrics.jsonl
+record per superstep, the per-superstep checkpoint (resume replays from
+the last complete manifest) and the stop test on the gather results.
+
+The window rule: up to 4 supersteps are dispatched with no driver
+barrier in between (an actor runs its calls in submission order, so
+scatter k+1 queues behind gather k), unless the call checkpoints, stops
+on a gather result, or runs on a graph with salted hubs — those need the
+driver after every superstep, so their window is 1. HITS and the
+multi-exchange drivers (SALSA, MIS, coloring, matching, Louvain, SCC,
+betweenness) keep their own loops but share the hub broadcast
+(``_broadcast_hubs``), the record/checkpoint step (``_record``) and the
+result collection (``_collect``).
 
 Shard actors are recycled. Starting one costs a process plus the import of
 ``state.csr`` (~2.5 s for a pool of 4 on a 4-core host, against ~0.1 s to
@@ -35,6 +52,7 @@ only for the shortfall. Lifecycle:
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 import threading
 import time
@@ -60,6 +78,19 @@ def _as_dataset(x) -> Dataset:
     if isinstance(x, pd.DataFrame):
         return rd.from_pandas(x)
     raise TypeError(f"expected Dataset/Table/DataFrame, got {type(x)}")
+
+
+def _limit(max_iter: int | None) -> int:
+    """A fixpoint loop's superstep budget: unbounded unless pinned."""
+    return max_iter if max_iter is not None else 1 << 30
+
+
+def _changed(res: list) -> dict:
+    return {"changed": int(sum(res))}
+
+
+def _settled(rec: dict) -> bool:
+    return rec["changed"] == 0
 
 
 def _default_parts() -> int:
@@ -137,8 +168,7 @@ class Graph:
         # "per_dest" — scatters run with num_returns=P so each destination's
         # partial is its own object and a receiver pulls ONLY its partition;
         # the multi-node default (no P× pull amplification over the network).
-        # Env override GRAPHX_SCATTER_ROUTE applies when the arg is None.
-        self.route = scatter_route or os.environ.get("GRAPHX_SCATTER_ROUTE", "packed")
+        self.route = scatter_route or "packed"
         if self.route not in ("packed", "per_dest"):
             raise ValueError(self.route)
         self._staged: dict = {}  # variant -> manifest
@@ -240,28 +270,46 @@ class Graph:
         futs = [getattr(a, method).remote(*args) for a in actors]
         return [futs] * self.P
 
-    def _broadcast_hubs(self, actors, man) -> None:
+    def _wave(self, actors, scatter: tuple, gather: tuple) -> list:
+        """Dispatch one exchange: ``scatter`` = (method, *args) on every
+        shard, then ``gather`` = (method, *args) on each receiver j with
+        its routed refs and j. Returns the gather refs (no barrier)."""
+        routed = self._scatter(actors, scatter[0], *scatter[1:])
+        return [
+            getattr(actors[j], gather[0]).remote(routed[j], j, *gather[1:])
+            for j in range(self.P)
+        ]
+
+    def _broadcast_hubs(self, actors, man, names=("val",)) -> list | None:
+        """Ship the salted hubs' current ``names`` vectors (shard
+        attributes) from their owners to every shard, which installs them
+        as ``hub_<name>``: a hub's out-edges span all shards, so every
+        scatter reads the hub's value from its local replica. Returns the
+        merged vectors, aligned to the manifest's sorted hubs."""
         if not man.get("hubs"):
-            return
+            return None
         hubs = np.asarray(man["hubs"], dtype=np.int64)  # sorted by stage_graph
-        pairs = ray.get([a.hub_ranks.remote() for a in actors])
-        vids_all = np.concatenate([p[0] for p in pairs])
-        vals_all = np.concatenate([p[1] for p in pairs])  # dtype-preserving (float rank / int label)
+        parts = ray.get([a.hub_state.remote(list(names)) for a in actors])
+        vids_all = np.concatenate([p[0] for p in parts])
         order = np.argsort(vids_all)
         if not np.array_equal(vids_all[order], hubs):
             raise RuntimeError("hub vertices missing from vertex universe")
-        ray.get([a.set_hub_vals.remote(vals_all[order]) for a in actors])
+        # dtype-preserving (float rank / int label / bool flag)
+        merged = [np.concatenate([p[1][k] for p in parts])[order] for k in range(len(names))]
+        ray.get([a.set_hub_state.remote(list(names), merged) for a in actors])
+        return merged
 
-    def _collect(self, actors, colname: str, output_path: str | None,
-                 as_table: bool = False):
+    def _collect(self, actors, method: str, *args, output_path: str | None = None,
+                 as_table: bool = False, rename: list | None = None):
+        """An algorithm's result from each shard's ``method(*args)`` table:
+        by default per-part parquet read back as a lazy Dataset (nothing
+        O(V) touches the driver); ``as_table`` is the opt-in small-graph
+        path, the ONLY place an O(V) driver concat happens (VERDICT r3 #2)."""
         if as_table:
-            # opt-in small-graph path — the ONLY place an O(V) driver
-            # concat happens (VERDICT r3 #2: Dataset is the default)
-            tables = ray.get([a.result_table.remote(colname) for a in actors])
-            return pa.concat_tables(tables)
+            t = pa.concat_tables(ray.get([getattr(a, method).remote(*args) for a in actors]))
+            return t.rename_columns(rename) if rename else t
         return self._result_ds(
-            actors, "result_table", (colname,),
-            output_path=output_path, label=colname,
+            actors, method, args, output_path=output_path, label=method, rename=rename,
         )
 
     def _result_ds(
@@ -294,10 +342,12 @@ class Graph:
     def _fingerprint(self, algo: str, params: dict, man: dict) -> dict:
         return {"algo": algo, "params": params, "P": self.P, "variant": man["variant"]}
 
-    def _checkpoint(self, actors, ckpt_dir, it, fp, colname, metrics) -> None:
+    def _checkpoint(self, actors, ckpt_dir, it, fp, cols, metrics) -> None:
+        """Superstep ``it``'s checkpoint: one part file per shard holding
+        the (column → shard attribute) ``cols``, then the manifest."""
         rows = ray.get(
             [
-                a.write_vector.remote(ckpt.part_path(ckpt_dir, it, p), colname)
+                a.write_result.remote(ckpt.part_path(ckpt_dir, it, p), "state_table", [cols])
                 for p, a in enumerate(actors)
             ]
         )
@@ -305,7 +355,7 @@ class Graph:
             ckpt_dir, it, fp, {str(p): r for p, r in enumerate(rows)}, metrics
         )
 
-    def _resume(self, actors, ckpt_dir, fp, colname) -> int:
+    def _resume(self, actors, ckpt_dir, fp, cols) -> int:
         """Load the newest complete checkpoint; return the next iteration."""
         if not ckpt_dir:
             return 0
@@ -314,11 +364,76 @@ class Graph:
             return 0
         ray.get(
             [
-                a.load_vector.remote(ckpt.part_path(ckpt_dir, it, p), colname)
+                a.load_state.remote(ckpt.part_path(ckpt_dir, it, p), cols)
                 for p, a in enumerate(actors)
             ]
         )
         return it + 1
+
+    def _record(self, algo: str, it: int, wall: float, fields: dict,
+                actors=None, checkpoint: tuple | None = None) -> dict:
+        """One superstep's metrics.jsonl record, and its checkpoint when
+        ``checkpoint`` = (dir, fingerprint, cols) names a directory."""
+        rec = {"algo": algo, "iteration": it, "wall_s": wall, **fields}
+        ckpt.append_metrics(self.workdir, rec)
+        if checkpoint and checkpoint[0]:
+            self._checkpoint(actors, checkpoint[0], it, checkpoint[1], checkpoint[2], rec)
+        return rec
+
+    def _supersteps(
+        self, actors, man, algo: str, scatter: tuple, gather: tuple, *,
+        max_iter: int, summary, stop=None, init: tuple | None = None,
+        first: int = 0, checkpoint: tuple | None = None, resume: bool = False,
+        hub_state: tuple = ("val",), numbered: bool = False,
+    ) -> dict | None:
+        """The superstep loop of every single-exchange algorithm.
+
+        - ``scatter``/``gather`` are (shard method, *args); each gather
+          also gets its ref list and its part, and ``numbered`` appends
+          the iteration to both argument lists.
+        - Start: with ``resume``, the newest complete checkpoint of
+          ``checkpoint`` = (dir, fingerprint, cols); otherwise iteration
+          ``first``, after every shard runs ``init`` = (method, *args).
+        - Before each scatter on a salted graph the ``hub_state`` vectors
+          are broadcast (an empty tuple skips it).
+        - ``summary(gather results)`` gives the superstep's metrics fields;
+          each superstep writes one metrics.jsonl record and, with a
+          checkpoint dir, one checkpoint.
+        - ``stop(record)`` ends the run early.
+
+        Window rule: actor calls from one submitter run in submission
+        order, so scatter(k+1) on an actor queues behind its gather(k) — up
+        to 4 supersteps are dispatched with NO driver barrier in between.
+        A checkpoint, a stop test or salted hubs need the gather results
+        (or a broadcast) after every superstep: window 1 there. Returns
+        the last record (None when no superstep ran)."""
+        ckpt_dir, fp, cols = checkpoint or (None, None, None)
+        start = self._resume(actors, ckpt_dir, fp, cols) if resume else 0
+        if start == 0:
+            start = first
+            if init:
+                ray.get([getattr(a, init[0]).remote(*init[1:]) for a in actors])
+        salted = bool(man.get("hubs"))
+        window = 1 if (ckpt_dir or stop or salted) else 4
+        rec = None
+        it = start
+        while it < max_iter:
+            w = min(window, max_iter - it)
+            t0 = time.time()
+            waves = []
+            for k in range(w):
+                if salted and hub_state:
+                    self._broadcast_hubs(actors, man, hub_state)
+                n = (it + k,) if numbered else ()
+                waves.append(self._wave(actors, scatter + n, gather + n))
+            results = [ray.get(wave) for wave in waves]
+            wall = (time.time() - t0) / w
+            for k, res in enumerate(results):
+                rec = self._record(algo, it + k, wall, summary(res), actors, checkpoint)
+            it += w
+            if stop is not None and stop(rec):
+                break
+        return rec
 
     # ------------------------------------------------------------- algorithms
 
@@ -348,51 +463,22 @@ class Graph:
         # checkpoints written before the option existed still resume
         params = {"alpha": alpha} if dtype == "float64" else {"alpha": alpha, "dtype": dtype}
         fp = self._fingerprint("pagerank", params, man)
-        start = self._resume(actors, checkpoint_dir, fp, "rank") if resume else 0
-        if start == 0:
-            ray.get(
-                [a.init_value.remote("pr" if dtype == "float64" else "pr32") for a in actors]
-            )
-        self._broadcast_hubs(actors, man)
         m_total = sum(s["n_edges"] for s in ray.get([a.stats.remote() for a in actors]))
 
-        # Pipelined dispatch: actor method calls from one submitter run in
-        # submission order, so scatter(k+1) on an actor queues behind its
-        # gather(k) — a whole window of supersteps can be dispatched with NO
-        # driver barrier in between (removes per-iteration RPC latency from
-        # the critical path). Checkpointing, tol stops and hub broadcasts
-        # need per-iteration sync → window of 1 there.
-        window = 1 if (checkpoint_dir or tol is not None or man.get("hubs")) else 4
-        it = start
-        while it < max_iter:
-            w = min(window, max_iter - it)
-            t0 = time.time()
-            waves = []
-            for _ in range(w):
-                routed = self._scatter(actors, "scatter_sum")
-                waves.append(
-                    [actors[j].gather_sum.remote(routed[j], j, alpha) for j in range(self.P)]
-                )
-            all_res = [ray.get(wave) for wave in waves]
-            self._broadcast_hubs(actors, man)
-            wall = time.time() - t0
-            for k, res in enumerate(all_res):
-                delta = float(sum(r[0] for r in res))
-                metrics = {
-                    "algo": "pagerank",
-                    "iteration": it + k,
-                    "wall_s": wall / w,
-                    "edges": m_total,
-                    "l1_delta": delta,
-                    "mass": float(sum(r[1] for r in res)),
-                }
-                ckpt.append_metrics(self.workdir, metrics)
-                if checkpoint_dir:
-                    self._checkpoint(actors, checkpoint_dir, it + k, fp, "rank", metrics)
-            it += w
-            if tol is not None and delta < tol:
-                break
-        return self._collect(actors, "rank", output_path, as_table)
+        def summary(res) -> dict:
+            return {"edges": m_total, "l1_delta": float(sum(r[0] for r in res)),
+                    "mass": float(sum(r[1] for r in res))}
+
+        cols = {"rank": "val"}
+        self._supersteps(
+            actors, man, "pagerank", ("scatter_sum",), ("gather_sum", alpha),
+            max_iter=max_iter, summary=summary,
+            stop=None if tol is None else (lambda rec: rec["l1_delta"] < tol),
+            init=("init_value", "pr" if dtype == "float64" else "pr32"),
+            checkpoint=(checkpoint_dir, fp, cols), resume=resume,
+        )
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def connected_components(
         self,
@@ -406,34 +492,16 @@ class Graph:
         """Hash-min label propagation to fixpoint over the canonical
         undirected graph (SURVEY.md A.2: component = min vid)."""
         actors, man = self._pool("undirected")
-        fp = self._fingerprint("cc", {}, man)
-        start = self._resume(actors, checkpoint_dir, fp, "component") if resume else 0
-        if start == 0:
-            ray.get([a.init_value.remote("vid") for a in actors])
-        self._broadcast_hubs(actors, man)
-
-        it = start
-        limit = max_iter if max_iter is not None else 1 << 30
-        while it < limit:
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_min")
-            changed = sum(
-                ray.get([actors[j].gather_min.remote(routed[j], j) for j in range(self.P)])
-            )
-            self._broadcast_hubs(actors, man)
-            metrics = {
-                "algo": "cc",
-                "iteration": it,
-                "wall_s": time.time() - t0,
-                "changed": int(changed),
-            }
-            ckpt.append_metrics(self.workdir, metrics)
-            if checkpoint_dir:
-                self._checkpoint(actors, checkpoint_dir, it, fp, "component", metrics)
-            it += 1
-            if changed == 0:
-                break
-        return self._collect(actors, "component", output_path, as_table)
+        cols = {"component": "val"}
+        self._supersteps(
+            actors, man, "cc", ("scatter_min",), ("gather_min",),
+            max_iter=_limit(max_iter), summary=_changed, stop=_settled,
+            init=("init_value", "vid"),
+            checkpoint=(checkpoint_dir, self._fingerprint("cc", {}, man), cols),
+            resume=resume,
+        )
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def label_propagation(
         self,
@@ -446,31 +514,15 @@ class Graph:
     ):
         """Synchronous LPA (SURVEY.md A.3), ties pinned to smallest label."""
         actors, man = self._pool("undirected_weighted")
-        fp = self._fingerprint("lpa", {}, man)
-        start = self._resume(actors, checkpoint_dir, fp, "label") if resume else 0
-        if start == 0:
-            ray.get([a.init_value.remote("vid") for a in actors])
-        self._broadcast_hubs(actors, man)
-
-        for it in range(start, max_iter):
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_label_hist")
-            changed = sum(
-                ray.get(
-                    [actors[j].gather_label_hist.remote(routed[j], j) for j in range(self.P)]
-                )
-            )
-            self._broadcast_hubs(actors, man)
-            metrics = {
-                "algo": "lpa",
-                "iteration": it,
-                "wall_s": time.time() - t0,
-                "changed": int(changed),
-            }
-            ckpt.append_metrics(self.workdir, metrics)
-            if checkpoint_dir:
-                self._checkpoint(actors, checkpoint_dir, it, fp, "label", metrics)
-        return self._collect(actors, "label", output_path, as_table)
+        cols = {"label": "val"}
+        self._supersteps(
+            actors, man, "lpa", ("scatter_label_hist",), ("gather_label_hist",),
+            max_iter=max_iter, summary=_changed, init=("init_value", "vid"),
+            checkpoint=(checkpoint_dir, self._fingerprint("lpa", {}, man), cols),
+            resume=resume,
+        )
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def label_propagation_seeded(
         self,
@@ -502,25 +554,14 @@ class Graph:
         if len(sv) > 1 and (sv[1:] == sv[:-1]).any():
             raise ValueError("duplicate seed vids")
         actors, man = self._pool("undirected_weighted")
-        ray.get([a.lpa_seed_init.remote(sv, sl) for a in actors])
-        self._broadcast_hubs(actors, man)
-        for it in range(max_iter):
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_label_seeded")
-            changed = sum(
-                ray.get(
-                    [actors[j].gather_label_seeded.remote(routed[j], j)
-                     for j in range(self.P)]
-                )
-            )
-            self._broadcast_hubs(actors, man)
-            ckpt.append_metrics(self.workdir, {
-                "algo": "lpa_seeded", "iteration": it,
-                "wall_s": time.time() - t0, "changed": int(changed),
-            })
-            if changed == 0:
-                break
-        return self._collect(actors, "label", output_path, as_table)
+        # lpa_seed_init switches the shards' label kernels to seeded mode
+        self._supersteps(
+            actors, man, "lpa_seeded", ("scatter_label_hist",), ("gather_label_hist",),
+            max_iter=max_iter, summary=_changed, stop=_settled,
+            init=("lpa_seed_init", sv, sl),
+        )
+        return self._collect(actors, "state_table", {"label": "val"},
+                             output_path=output_path, as_table=as_table)
 
     def pagerank_tol(
         self,
@@ -540,40 +581,14 @@ class Graph:
         if tol <= 0:
             raise ValueError("tol must be > 0 (Pregel guard relies on it)")
         actors, man = self._pool("directed")
-        ray.get([a.init_pr_dynamic.remote(alpha, tol) for a in actors])
-        self._broadcast_hub_deltas(actors, man)
-        limit = max_iter if max_iter is not None else 1 << 30
-        it = 0
-        while it < limit:
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_pr_delta")
-            active = sum(
-                ray.get(
-                    [actors[j].gather_pr_delta.remote(routed[j], j, alpha, tol) for j in range(self.P)]
-                )
-            )
-            self._broadcast_hub_deltas(actors, man)
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "pagerank_tol", "iteration": it, "wall_s": time.time() - t0,
-                 "active": int(active)},
-            )
-            it += 1
-            if active == 0:
-                break
-        return self._collect(actors, "rank", output_path, as_table)
-
-    def _broadcast_hub_deltas(self, actors, man) -> None:
-        if not man.get("hubs"):
-            return
-        hubs = np.asarray(man["hubs"], dtype=np.int64)
-        pairs = ray.get([a.hub_deltas.remote() for a in actors])
-        vids_all = np.concatenate([p[0] for p in pairs])
-        vals_all = np.concatenate([p[1] for p in pairs])
-        order = np.argsort(vids_all)
-        if not np.array_equal(vids_all[order], hubs):
-            raise RuntimeError("hub vertices missing from vertex universe")
-        ray.get([a.set_hub_deltas.remote(vals_all[order]) for a in actors])
+        self._supersteps(
+            actors, man, "pagerank_tol", ("scatter_pr_delta",), ("gather_pr_delta", alpha, tol),
+            max_iter=_limit(max_iter), summary=lambda res: {"active": int(sum(res))},
+            stop=lambda rec: rec["active"] == 0, init=("init_pr_dynamic", alpha, tol),
+            hub_state=("pr_msg",),
+        )
+        return self._collect(actors, "state_table", {"rank": "val"},
+                             output_path=output_path, as_table=as_table)
 
     def personalized_pagerank(
         self,
@@ -589,24 +604,13 @@ class Graph:
         GraphFrames ``pageRank(sourceId=...)`` surface; pinned init
         documented here (SURVEY.md G1p)."""
         actors, man = self._pool("directed")
-        ray.get([a.init_ppr.remote(int(source)) for a in actors])
-        self._broadcast_hubs(actors, man)
-        for it in range(max_iter):
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_sum")
-            res = ray.get(
-                [
-                    actors[j].gather_sum_reset.remote(routed[j], j, alpha, int(source))
-                    for j in range(self.P)
-                ]
-            )
-            self._broadcast_hubs(actors, man)
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "ppr", "iteration": it, "wall_s": time.time() - t0,
-                 "l1_delta": float(sum(r[0] for r in res))},
-            )
-        return self._collect(actors, "rank", output_path, as_table)
+        self._supersteps(
+            actors, man, "ppr", ("scatter_sum",), ("gather_sum", alpha, int(source)),
+            max_iter=max_iter, init=("init_ppr", int(source)),
+            summary=lambda res: {"l1_delta": float(sum(r[0] for r in res))},
+        )
+        return self._collect(actors, "state_table", {"rank": "val"},
+                             output_path=output_path, as_table=as_table)
 
     def parallel_personalized_pagerank(
         self,
@@ -626,31 +630,14 @@ class Graph:
         ``sources`` order."""
         actors, man = self._pool("directed")
         srcs = [int(s) for s in sources]
-        ray.get([a.init_ppr_multi.remote(srcs) for a in actors])
-        self._broadcast_hubs(actors, man)
-        for it in range(max_iter):
-            t0 = time.time()
-            routed = self._scatter(actors, "scatter_sum_multi")
-            deltas = ray.get(
-                [
-                    actors[j].gather_sum_reset_multi.remote(routed[j], j, alpha, srcs)
-                    for j in range(self.P)
-                ]
-            )
-            self._broadcast_hubs(actors, man)
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "ppr_multi", "iteration": it, "wall_s": time.time() - t0,
-                 "l1_delta": float(sum(deltas)), "n_sources": len(srcs)},
-            )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.ppr_multi_table.remote(srcs) for a in actors])
-            )
-        return self._result_ds(
-            actors, "ppr_multi_table", (srcs,),
-            output_path=output_path, label="ppr_multi",
+        self._supersteps(
+            actors, man, "ppr_multi", ("scatter_sum_multi",), ("gather_sum", alpha, srcs),
+            max_iter=max_iter, init=("init_ppr_multi", srcs),
+            summary=lambda res: {"l1_delta": float(sum(r[0] for r in res)),
+                                 "n_sources": len(srcs)},
         )
+        return self._collect(actors, "ppr_multi_table", srcs, output_path=output_path,
+                             as_table=as_table)
 
     def hits(
         self,
@@ -680,33 +667,18 @@ class Graph:
         # max_iter stays OUT of the fingerprint: a run interrupted at
         # iteration k resumes into a longer run (same rule as pagerank)
         fp = self._fingerprint("hits", {"normalize": normalize}, man)
-        start = 0
-        if resume and checkpoint_dir:
-            it0 = ckpt.latest_complete(checkpoint_dir, fp)
-            if it0 is not None:
-                ray.get(
-                    [
-                        a.load_hits_vectors.remote(ckpt.part_path(checkpoint_dir, it0, p))
-                        for p, a in enumerate(actors)
-                    ]
-                )
-                start = it0 + 1
+        cols = {"hub": "val", "auth": "val_a"}
+        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
         if start == 0:
             ray.get([a.init_hits.remote() for a in actors])
-        self._broadcast_hubs(actors, man)  # h of salted hubs for the scatter
         m_total = sum(s["n_edges"] for s in ray.get([a.stats.remote() for a in actors]))
         for it in range(start, max_iter):
             t0 = time.time()
-            routed = self._scatter(actors, "scatter_hits_auth")
-            a_sums = ray.get(
-                [actors[j].gather_hits_auth.remote(routed[j], j) for j in range(self.P)]
-            )
+            self._broadcast_hubs(actors, man)  # h of salted hubs for the scatter
+            a_sums = ray.get(self._wave(actors, ("scatter_hits_auth",), ("gather_hits_auth",)))
             norm_a = float(sum(a_sums)) if normalize else 0.0
             ray.get([a.scale_hits_auth.remote(norm_a) for a in actors])
-            routed = self._scatter(actors, "scatter_hits_pull")
-            res = ray.get(
-                [actors[j].gather_hits_hub.remote(routed[j], j) for j in range(self.P)]
-            )
+            res = ray.get(self._wave(actors, ("scatter_hits_pull",), ("gather_hits_hub",)))
             partials = [r[0] for r in res if r[0] is not None]
             merged = np.sum(partials, axis=0) if partials else None
             total_h = float(sum(r[1] for r in res)) + (
@@ -718,28 +690,13 @@ class Graph:
                     for a in actors
                 ]
             )
-            self._broadcast_hubs(actors, man)
-            metrics = {"algo": "hits", "iteration": it, "wall_s": time.time() - t0,
-                       "edges": m_total, "l1_delta_h": float(sum(deltas))}
-            ckpt.append_metrics(self.workdir, metrics)
-            if checkpoint_dir:
-                rows = ray.get(
-                    [
-                        a.write_hits_vectors.remote(ckpt.part_path(checkpoint_dir, it, p))
-                        for p, a in enumerate(actors)
-                    ]
-                )
-                ckpt.write_manifest(
-                    checkpoint_dir, it, fp,
-                    {str(p): r for p, r in enumerate(rows)}, metrics,
-                )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_hits.remote() for a in actors])
+            self._record(
+                "hits", it, time.time() - t0,
+                {"edges": m_total, "l1_delta_h": float(sum(deltas))},
+                actors, (checkpoint_dir, fp, cols),
             )
-        return self._result_ds(
-            actors, "result_table_hits", output_path=output_path, label="hits",
-        )
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def katz(
         self,
@@ -786,9 +743,7 @@ class Graph:
             variant="directed", checkpoint_dir=checkpoint_dir, resume=resume,
             output_path=output_path, as_table=as_table,
         )
-        if as_table:
-            return out.rename_columns(["vid", "katz_micro"])
-        return out.rename_columns({"value": "katz_micro"})
+        return out.rename_columns(["vid", "katz_micro"])
 
     # odd golden-ratio constant — the classic Fibonacci-hashing multiplier;
     # any odd constant keeps x -> x*C a bijection mod 2^64
@@ -850,15 +805,12 @@ class Graph:
             init, send, vprog, merge="sum", halt="all", max_iter=r,
             variant=variant, output_path=output_path, as_table=as_table,
         )
-        if as_table:
-            vid = out["vid"]
-            color = out["value"].to_numpy().astype(np.uint64).view(np.int64)
-            return pa.table({"vid": vid, "color": pa.array(color)})
-
         def to_signed(b: pa.Table) -> pa.Table:
             c = b["value"].to_numpy().astype(np.uint64).view(np.int64)
             return pa.table({"vid": b["vid"], "color": pa.array(c)})
 
+        if as_table:
+            return to_signed(out)
         return out.map_batches(to_signed, batch_format="pyarrow", zero_copy_batch=True)
 
     def eigenvector_centrality(
@@ -971,9 +923,7 @@ class Graph:
             variant="undirected_weighted", output_path=output_path,
             as_table=as_table,
         )
-        if as_table:
-            return out.rename_columns(["vid", "eig_fix"])
-        return out.rename_columns({"value": "eig_fix"})
+        return out.rename_columns(["vid", "eig_fix"])
 
     def random_walks(
         self,
@@ -1000,45 +950,10 @@ class Graph:
         (start, walk, next) packs — O(active walks) traffic, never
         graph-sized. Returns a Dataset of (start_vid, walk, step, vid)
         rows, one per visited position."""
-        actors, man = self._pool("directed")
-        self._broadcast_walk_hub_adj(actors, man)
-        # Dataset mode streams visit rows to per-(part, step) parquet as the
-        # walks advance — actor memory stays O(active walks), never
-        # O(walks × length); as_table buffers in-actor (small graphs only).
-        rows_dir = None
-        if not as_table:
-            rows_dir = output_path or os.path.join(
-                self.workdir, "results", f"walks-{self._rseq}"
-            )
-            self._rseq += 1
-            import shutil
-
-            shutil.rmtree(rows_dir, ignore_errors=True)  # no stale part leak-in
-        alive = sum(
-            ray.get(
-                [a.init_walks.remote(walks_per_vertex, seed, rows_dir) for a in actors]
-            )
+        return self._walks(
+            "random_walks", ("init_walks", walks_per_vertex, seed), "walk_scatter",
+            "walk_gather", length, output_path, as_table,
         )
-        for t in range(1, length + 1):
-            if alive == 0:
-                break
-            t0 = time.time()
-            routed = self._scatter(actors, "walk_scatter", t)
-            alive = sum(
-                ray.get(
-                    [actors[j].walk_gather.remote(routed[j], j, t) for j in range(self.P)]
-                )
-            )
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "random_walks", "iteration": t,
-                 "wall_s": time.time() - t0, "active_walks": int(alive)},
-            )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.walk_rows_table.remote() for a in actors])
-            )
-        return rd.read_parquet(rows_dir)
 
     def node2vec_walks(
         self,
@@ -1084,44 +999,37 @@ class Graph:
         m_far = fp.numerator * fq.denominator
         g = math.gcd(math.gcd(m_ret, m_com), m_far)
         bias = (m_ret // g, m_com // g, m_far // g)
+        return self._walks(
+            "node2vec_walks", ("init_n2v_walks", walks_per_vertex, seed, bias),
+            "n2v_scatter", "n2v_gather", length, output_path, as_table,
+        )
+
+    def _walks(self, algo: str, init: tuple, scatter: str, gather: str, length: int,
+               output_path: str | None, as_table: bool):
+        """The walk family's driver: ``init`` = (method, *args) seeds the
+        walks; superstep t (1..length) runs ``scatter(t)`` and
+        ``gather(.., t)`` until no walk is alive."""
         actors, man = self._pool("directed")
         self._broadcast_walk_hub_adj(actors, man)
+        # Dataset mode streams visit rows to per-(part, step) parquet as the
+        # walks advance — actor memory stays O(active walks), never
+        # O(walks × length); as_table buffers in-actor (small graphs only).
         rows_dir = None
         if not as_table:
             rows_dir = output_path or os.path.join(
-                self.workdir, "results", f"n2v-{self._rseq}"
+                self.workdir, "results", f"{algo}-{self._rseq}"
             )
             self._rseq += 1
-            import shutil
-
             shutil.rmtree(rows_dir, ignore_errors=True)  # no stale part leak-in
-        alive = sum(
-            ray.get(
-                [
-                    a.init_n2v_walks.remote(walks_per_vertex, seed, bias, rows_dir)
-                    for a in actors
-                ]
-            )
+        alive = sum(ray.get([getattr(a, init[0]).remote(*init[1:], rows_dir) for a in actors]))
+        self._supersteps(
+            actors, man, algo, (scatter,), (gather,),
+            first=1, max_iter=length + 1 if alive else 1, numbered=True,
+            summary=lambda res: {"active_walks": int(sum(res))},
+            stop=lambda rec: rec["active_walks"] == 0, hub_state=(),
         )
-        for t in range(1, length + 1):
-            if alive == 0:
-                break
-            t0 = time.time()
-            routed = self._scatter(actors, "n2v_scatter", t)
-            alive = sum(
-                ray.get(
-                    [actors[j].n2v_gather.remote(routed[j], j, t) for j in range(self.P)]
-                )
-            )
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "node2vec_walks", "iteration": t,
-                 "wall_s": time.time() - t0, "active_walks": int(alive)},
-            )
         if as_table:
-            return pa.concat_tables(
-                ray.get([a.walk_rows_table.remote() for a in actors])
-            )
+            return self._collect(actors, "walk_rows_table", as_table=True)
         return rd.read_parquet(rows_dir)
 
     def power_iteration_clustering(
@@ -1188,34 +1096,16 @@ class Graph:
             c = int(_mix(np.uint64(seed) ^ np.uint64(r)))
             ray.get([a.mis_stage_priority.remote(c) for a in actors])
             self._broadcast_hubs(actors, man)
-            routed = self._scatter(actors, "scatter_max")
-            joined = sum(
-                ray.get(
-                    [actors[j].gather_mis_join.remote(routed[j], j) for j in range(self.P)]
-                )
-            )
+            joined = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_join",))))
             ray.get([a.mis_stage_flag.remote() for a in actors])
             self._broadcast_hubs(actors, man)
-            routed = self._scatter(actors, "scatter_max")
-            active = sum(
-                ray.get(
-                    [actors[j].gather_mis_out.remote(routed[j], j) for j in range(self.P)]
-                )
-            )
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "mis", "iteration": r, "wall_s": time.time() - t0,
-                 "joined": int(joined), "active": int(active)},
-            )
+            active = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_out",))))
+            self._record("mis", r, time.time() - t0,
+                         {"joined": int(joined), "active": int(active)})
             if active == 0:
                 break
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_mis.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_mis", output_path=output_path, label="mis",
-        )
+        return self._collect(actors, "result_table_mis", output_path=output_path,
+                             as_table=as_table)
 
     def salsa(
         self,
@@ -1234,43 +1124,23 @@ class Graph:
         PR-shaped forward scatter), hub h(u) = Σ floor(w·a(v)/indeg(v))
         (the HITS reverse pull; indeg(dst) cached per edge once at init).
         Returns (vid, hub, auth)."""
-        actors, man = self._pool("directed")
-        if man.get("hubs"):
-            # merged hub outdeg must be installed before init casts it
-            partials = ray.get([a.hub_outdeg_part.remote() for a in actors])
-            ray.get([a.set_hub_outdeg.remote(np.sum(partials, axis=0)) for a in actors])
+        actors, man = self._pool("directed")  # installs the merged hub outdeg
         ray.get([a.init_salsa.remote(scale) for a in actors])
         # one-time indeg exchange + static per-edge indeg cache
-        routed = self._scatter(actors, "scatter_salsa_indeg")
-        ray.get([actors[j].gather_salsa_indeg.remote(routed[j], j) for j in range(self.P)])
-        routed = self._scatter(actors, "pull_salsa_indeg")
-        ray.get([actors[j].cache_salsa_indeg.remote(routed[j], j) for j in range(self.P)])
+        ray.get(self._wave(actors, ("scatter_salsa_indeg",), ("gather_salsa_indeg",)))
+        ray.get(self._wave(actors, ("pull_salsa_indeg",), ("cache_salsa_indeg",)))
         self._broadcast_hubs(actors, man)  # h of salted hubs
         for it in range(iters):
             t0 = time.time()
-            routed = self._scatter(actors, "scatter_salsa_auth")
-            ray.get(
-                [actors[j].gather_salsa_auth.remote(routed[j], j) for j in range(self.P)]
-            )
-            routed = self._scatter(actors, "scatter_salsa_pull")
-            parts = ray.get(
-                [actors[j].gather_salsa_hub.remote(routed[j], j) for j in range(self.P)]
-            )
+            ray.get(self._wave(actors, ("scatter_salsa_auth",), ("gather_salsa_auth",)))
+            parts = ray.get(self._wave(actors, ("scatter_salsa_pull",), ("gather_salsa_hub",)))
             partials = [p for p in parts if p is not None]
             merged = np.sum(partials, axis=0) if partials else None
             ray.get([a.finalize_salsa_hub.remote(merged) for a in actors])
             self._broadcast_hubs(actors, man)
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "salsa", "iteration": it, "wall_s": time.time() - t0},
-            )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_salsa.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_salsa", output_path=output_path, label="salsa",
-        )
+            self._record("salsa", it, time.time() - t0, {})
+        return self._collect(actors, "state_table", {"hub": "val", "auth": "val_sa"},
+                             output_path=output_path, as_table=as_table)
 
     def maximal_matching(
         self,
@@ -1299,17 +1169,14 @@ class Graph:
         ray.get([a.init_matching.remote() for a in actors])
         hubs = np.asarray(man.get("hubs", []), dtype=np.int64)
         fp = self._fingerprint("matching", {"seed": seed}, man)
-        start = self._resume(actors, checkpoint_dir, fp, "partner") if resume else 0
+        cols = {"partner": "val"}
+        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
         self._broadcast_hubs(actors, man)  # partner state of salted hubs
         for r in range(start, max_rounds):
             t0 = time.time()
             c = int(_mix(np.uint64(seed) ^ np.uint64(r)))
-            routed = self._scatter(actors, "match_pull_flags")
             actives = ray.get(
-                [
-                    actors[j].match_stage_priorities.remote(c, routed[j], j)
-                    for j in range(self.P)
-                ]
+                self._wave(actors, ("match_pull_flags",), ("match_stage_priorities", c))
             )
             n_active = int(sum(actives))
             if n_active == 0:
@@ -1329,10 +1196,7 @@ class Graph:
                     )
                     hp[better], hu[better], hv[better] = bp[better], bu[better], bv[better]
                 ray.get([a.match_install_hub_best.remote(hp, hu, hv) for a in actors])
-            routed = self._scatter(actors, "match_pull_best")
-            hub_parts = ray.get(
-                [actors[j].match_resolve.remote(routed[j], j) for j in range(self.P)]
-            )
+            hub_parts = ray.get(self._wave(actors, ("match_pull_best",), ("match_resolve",)))
             if len(hubs):
                 pairs = [p for p in hub_parts if p is not None]
                 if pairs:
@@ -1346,21 +1210,10 @@ class Graph:
                         ]
                     )
             self._broadcast_hubs(actors, man)
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "matching", "iteration": r,
-                 "wall_s": time.time() - t0, "active_edges": n_active},
-            )
-            if checkpoint_dir:
-                self._checkpoint(
-                    actors, checkpoint_dir, r, fp, "partner",
-                    {"active_edges": n_active},
-                )
-        return self._result_ds(
-            actors, "result_table_matching", output_path=output_path, label="matching",
-        ) if not as_table else pa.concat_tables(
-            ray.get([a.result_table_matching.remote() for a in actors])
-        )
+            self._record("matching", r, time.time() - t0, {"active_edges": n_active},
+                         actors, (checkpoint_dir, fp, cols))
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def louvain(
         self,
@@ -1408,7 +1261,8 @@ class Graph:
         # into a longer run; converged rounds are no-ops, so resuming
         # past convergence is bit-identical)
         fp = self._fingerprint("louvain", {"weighted": weighted}, man)
-        start = self._resume(actors, checkpoint_dir, fp, "community") if resume else 0
+        cols = {"community": "val"}
+        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
 
         for r in range(start, max_rounds):
             t0 = time.time()
@@ -1433,14 +1287,7 @@ class Graph:
             if len(hubs):
                 # hub labels to every shard, then each hub's community
                 # volume + singleton flag fetched from the volume's owner
-                pairs = ray.get([a.hub_ranks.remote() for a in actors])
-                vids = np.concatenate([p[0] for p in pairs])
-                labs = np.concatenate([p[1] for p in pairs])
-                order = np.argsort(vids)
-                if not np.array_equal(vids[order], hubs):
-                    raise RuntimeError("hub vertices missing from vertex universe")
-                hub_lab = labs[order].astype(np.int64)
-                ray.get([a.set_hub_vals.remote(hub_lab) for a in actors])
+                hub_lab = self._broadcast_hubs(actors, man)[0].astype(np.int64)
                 owner = _part_of(hub_lab, self.P)
                 vols = np.zeros(len(hub_lab), np.int64)
                 futs = []
@@ -1454,28 +1301,15 @@ class Graph:
                 flags = vols == hub_k
                 ray.get([a.set_louvain_hub_state.remote(vols, flags) for a in actors])
             # local-move exchange
-            routed = self._scatter(actors, "louvain_move_scatter")
-            moved = sum(
-                ray.get(
-                    [
-                        actors[j].louvain_move_gather.remote(routed[j], j, two_m)
-                        for j in range(self.P)
-                    ]
-                )
-            )
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "louvain", "iteration": r,
-                 "wall_s": time.time() - t0, "moved": int(moved)},
-            )
-            if checkpoint_dir:
-                self._checkpoint(
-                    actors, checkpoint_dir, r, fp, "community",
-                    {"moved": int(moved)},
-                )
+            moved = sum(ray.get(
+                self._wave(actors, ("louvain_move_scatter",), ("louvain_move_gather", two_m))
+            ))
+            self._record("louvain", r, time.time() - t0, {"moved": int(moved)},
+                         actors, (checkpoint_dir, fp, cols))
             if moved == 0:
                 break
-        return self._collect(actors, "community", output_path, as_table)
+        return self._collect(actors, "state_table", cols, output_path=output_path,
+                             as_table=as_table)
 
     def greedy_coloring(
         self,
@@ -1517,26 +1351,15 @@ class Graph:
                 rc = int(_mix(cc ^ np.uint64(r)))
                 ray.get([a.mis_stage_priority.remote(rc) for a in actors])
                 self._broadcast_hubs(actors, man)
-                routed = self._scatter(actors, "scatter_max")
-                ray.get(
-                    [actors[j].gather_mis_join.remote(routed[j], j) for j in range(self.P)]
-                )
+                ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_join",)))
                 ray.get([a.mis_stage_flag.remote() for a in actors])
                 self._broadcast_hubs(actors, man)
-                routed = self._scatter(actors, "scatter_max")
-                active = sum(
-                    ray.get(
-                        [actors[j].gather_mis_out.remote(routed[j], j) for j in range(self.P)]
-                    )
-                )
+                active = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_out",))))
                 if active == 0:
                     break
             remaining = sum(ray.get([a.color_assign.remote(c) for a in actors]))
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "greedy_coloring", "iteration": c,
-                 "wall_s": time.time() - t0, "uncolored": int(remaining)},
-            )
+            self._record("greedy_coloring", c, time.time() - t0,
+                         {"uncolored": int(remaining)})
             if remaining == 0:
                 break
         if remaining != 0:
@@ -1545,14 +1368,8 @@ class Graph:
                 f"max_colors={max_colors}; they carry color -1",
                 RuntimeWarning,
             )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_coloring.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_coloring",
-            output_path=output_path, label="coloring",
-        )
+        return self._collect(actors, "state_table", {"color": "clr"},
+                             output_path=output_path, as_table=as_table)
 
     def pregel(
         self,
@@ -1611,7 +1428,6 @@ class Graph:
             raise ValueError(halt)
         actors, man = self._pool(variant)
         fp = None
-        start = 0
         if checkpoint_dir:
             import hashlib
 
@@ -1626,67 +1442,18 @@ class Graph:
                  "fns": digest},
                 man,
             )
-            if resume:
-                it0 = ckpt.latest_complete(checkpoint_dir, fp)
-                if it0 is not None:
-                    ray.get(
-                        [
-                            a.load_pregel_state.remote(ckpt.part_path(checkpoint_dir, it0, p))
-                            for p, a in enumerate(actors)
-                        ]
-                    )
-                    start = it0 + 1
-        if start == 0:
-            ray.get([a.pregel_init.remote(init, initial_msg, vprog) for a in actors])
-        it = start
-        while it < max_iter:
-            t0 = time.time()
-            self._broadcast_pregel_hubs(actors, man)
-            routed = self._scatter(actors, "scatter_pregel", send_msg, merge, halt)
-            changed = sum(
-                ray.get(
-                    [actors[j].gather_pregel.remote(routed[j], j, vprog, merge, halt) for j in range(self.P)]
-                )
-            )
-            metrics = {"algo": "pregel", "iteration": it, "wall_s": time.time() - t0,
-                       "changed": int(changed)}
-            ckpt.append_metrics(self.workdir, metrics)
-            if checkpoint_dir:
-                rows = ray.get(
-                    [
-                        a.write_pregel_state.remote(ckpt.part_path(checkpoint_dir, it, p))
-                        for p, a in enumerate(actors)
-                    ]
-                )
-                ckpt.write_manifest(
-                    checkpoint_dir, it, fp, {str(p): r for p, r in enumerate(rows)}, metrics
-                )
-            it += 1
-            if halt == "changed" and changed == 0:
-                break
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table.remote("value") for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table", ("value",),
-            output_path=output_path, label="pregel",
+        # the changed mask is superstep state too: it decides who sends next
+        state = {"value": "val", "changed": "pregel_changed"}
+        self._supersteps(
+            actors, man, "pregel", ("scatter_pregel", send_msg, merge, halt),
+            ("gather_pregel", vprog, merge, halt), max_iter=max_iter,
+            summary=_changed, stop=_settled if halt == "changed" else None,
+            init=("pregel_init", init, initial_msg, vprog),
+            checkpoint=(checkpoint_dir, fp, state), resume=resume,
+            hub_state=tuple(state.values()),
         )
-
-    def _broadcast_pregel_hubs(self, actors, man) -> None:
-        if not man.get("hubs"):
-            return
-        hubs = np.asarray(man["hubs"], dtype=np.int64)
-        triples = ray.get([a.pregel_hub_state.remote() for a in actors])
-        vids_all = np.concatenate([t[0] for t in triples])
-        vals_all = np.concatenate([t[1] for t in triples])
-        chg_all = np.concatenate([t[2] for t in triples])
-        order = np.argsort(vids_all)
-        if not np.array_equal(vids_all[order], hubs):
-            raise RuntimeError("hub vertices missing from vertex universe")
-        ray.get(
-            [a.set_pregel_hub_state.remote(vals_all[order], chg_all[order]) for a in actors]
-        )
+        return self._collect(actors, "state_table", {"value": "val"},
+                             output_path=output_path, as_table=as_table)
 
     def collect_neighbor_ids(self, *, direction: str = "out", num_partitions: int = 16):
         # GraphX leftZipJoin behavior when the graph has a vertex table:
@@ -1724,28 +1491,15 @@ class Graph:
         unreachable vertices) — computed as one extra lexicographic-min
         superstep after the min-plus fixpoint."""
         actors, man = self._pool("undirected")
-        ray.get([a.init_dist.remote(int(source)) for a in actors])
-        self._broadcast_hubs(actors, man)
-        it = 0
-        limit = max_iter if max_iter is not None else 1 << 30
-        while it < limit:
-            routed = self._scatter(actors, "scatter_minplus")
-            changed = sum(
-                ray.get([actors[j].gather_min.remote(routed[j], j) for j in range(self.P)])
-            )
-            self._broadcast_hubs(actors, man)
-            it += 1
-            if changed == 0:
-                break
-        routed = self._scatter(actors, "scatter_parent")
-        ray.get([actors[j].gather_parent.remote(routed[j], j) for j in range(self.P)])
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.parent_table.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "parent_table", output_path=output_path, label="bfs",
+        self._supersteps(
+            actors, man, "bfs", ("scatter_minplus",), ("gather_min",),
+            max_iter=_limit(max_iter), summary=_changed, stop=_settled,
+            init=("init_dist", int(source)),
         )
+        self._broadcast_hubs(actors, man)  # the parent pass reads hub distances
+        ray.get(self._wave(actors, ("scatter_parent",), ("gather_parent",)))
+        return self._collect(actors, "parent_table", output_path=output_path,
+                             as_table=as_table)
 
     def diameter_lower_bound(self, *, start: int | None = None) -> pa.Table:
         """Double-sweep BFS diameter lower bound (Magnien, Latapy & Habib
@@ -1831,7 +1585,7 @@ class Graph:
         rev, man_r = self._pool("reversed")
         ray.get([a.scc_init.remote() for a in fwd + rev])
         rounds = 0
-        limit = max_rounds if max_rounds is not None else 1 << 30
+        limit = _limit(max_rounds)
         while rounds < limit:
             remaining = sum(ray.get([a.scc_reset_colors.remote() for a in fwd]))
             if remaining == 0:
@@ -1839,20 +1593,16 @@ class Graph:
             # (0) trim singleton SCCs until stable
             while trim and remaining:
                 self._broadcast_hubs(fwd, man_f)
-                routed = self._scatter(fwd, "scatter_min")
-                ray.get(
-                    [fwd[j].scc_trim_gather.remote(routed[j], j) for j in range(self.P)]
-                )  # has unassigned IN-neighbor
+                # has unassigned IN-neighbor
+                ray.get(self._wave(fwd, ("scatter_min",), ("scc_trim_gather",)))
                 label_refs = [a.get_scc_labels.remote() for a in fwd]
                 ray.get(
                     [rev[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
                 )
                 ray.get([a.scc_reset_colors.remote() for a in rev])
                 self._broadcast_hubs(rev, man_r)
-                routed = self._scatter(rev, "scatter_min")
-                ray.get(
-                    [rev[j].scc_trim_gather.remote(routed[j], j) for j in range(self.P)]
-                )  # has unassigned OUT-neighbor (reversed edges)
+                # has unassigned OUT-neighbor (reversed edges)
+                ray.get(self._wave(rev, ("scatter_min",), ("scc_trim_gather",)))
                 oh = [rev[p].get_trim_has.remote() for p in range(self.P)]
                 assigned = sum(
                     ray.get(
@@ -1872,11 +1622,8 @@ class Graph:
             # (1) forward color fixpoint
             while True:
                 self._broadcast_hubs(fwd, man_f)
-                routed = self._scatter(fwd, "scatter_min")
                 changed = sum(
-                    ray.get(
-                        [fwd[j].gather_min_unassigned.remote(routed[j], j) for j in range(self.P)]
-                    )
+                    ray.get(self._wave(fwd, ("scatter_min",), ("gather_min_unassigned",)))
                 )
                 if changed == 0:
                     break
@@ -1888,11 +1635,8 @@ class Graph:
             # (2) backward same-color reach fixpoint
             while True:
                 self._broadcast_hubs(rev, man_r)
-                routed = self._scatter(rev, "scatter_label_hist")
                 adopted = sum(
-                    ray.get(
-                        [rev[j].gather_scc_reach.remote(routed[j], j) for j in range(self.P)]
-                    )
+                    ray.get(self._wave(rev, ("scatter_label_hist",), ("gather_scc_reach",)))
                 )
                 if adopted == 0:
                     break
@@ -1903,11 +1647,8 @@ class Graph:
                 [fwd[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
             )
             rounds += 1
-        if as_table:
-            return pa.concat_tables(ray.get([a.scc_result.remote() for a in rev]))
-        return self._result_ds(
-            rev, "scc_result", output_path=output_path, label="scc",
-        )
+        return self._collect(rev, "state_table", {"component": "scc_label"},
+                             output_path=output_path, as_table=as_table)
 
     def aggregate_messages(
         self,
@@ -1934,8 +1675,6 @@ class Graph:
         else:
             # hash-partitioned staging (the stage_graph pattern): each shard
             # loads only its slice — the vertex table never touches the driver
-            import shutil
-
             from graphx_ray.ids import part_of
 
             vds = _as_dataset(vertex_values)
@@ -1965,18 +1704,14 @@ class Graph:
                 ]
             )
         self._broadcast_hubs(actors, man)
-        routed = self._scatter(actors, "scatter_user", edge_msg, agg)
+        scatter = ("scatter_user", edge_msg, agg)
         if as_table:
-            tables = ray.get(
-                [actors[j].gather_user.remote(routed[j], j, agg) for j in range(self.P)]
-            )
+            tables = ray.get(self._wave(actors, scatter, ("gather_user", agg)))
             return pa.concat_tables([t for t in tables if t.num_rows] or tables[:1])
         # results park in the actors; only non-empty parts write (an empty
         # gather_user table carries a placeholder dtype that would clash
         # in the read-back schema) — unless ALL are empty
-        counts = ray.get(
-            [actors[j].gather_user_store.remote(routed[j], j, agg) for j in range(self.P)]
-        )
+        counts = ray.get(self._wave(actors, scatter, ("gather_user_store", agg)))
         parts = [p for p, c in enumerate(counts) if c] or [0]
         return self._result_ds(
             actors, "user_agg_table",
@@ -2003,29 +1738,15 @@ class Graph:
         per-part parquet and read back lazily."""
         actors, man = self._pool("undirected")
         lms = [int(lm) for lm in landmarks]
-        limit = max_iter if max_iter is not None else 1 << 30
         for lm in lms:
-            ray.get([a.init_dist.remote(lm) for a in actors])
-            self._broadcast_hubs(actors, man)
-            it = 0
-            while it < limit:
-                routed = self._scatter(actors, "scatter_minplus")
-                changed = sum(
-                    ray.get([actors[j].gather_min.remote(routed[j], j) for j in range(self.P)])
-                )
-                self._broadcast_hubs(actors, man)
-                it += 1
-                if changed == 0:
-                    break
-            ray.get([a.store_dist.remote(lm) for a in actors])
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.dist_table.remote(lms) for a in actors])
+            self._supersteps(
+                actors, man, "shortest_paths", ("scatter_minplus",), ("gather_min",),
+                max_iter=_limit(max_iter), summary=_changed, stop=_settled,
+                init=("init_dist", lm),
             )
-        return self._result_ds(
-            actors, "dist_table", (lms,),
-            output_path=output_path, label="shortest_paths",
-        )
+            ray.get([a.store_dist.remote(lm) for a in actors])
+        return self._collect(actors, "dist_table", lms, output_path=output_path,
+                             as_table=as_table)
 
     def betweenness_centrality(
         self,
@@ -2076,49 +1797,33 @@ class Graph:
             owned = ray.get([a.owned_vids.remote() for a in actors])
             piv = sorted(int(x) for arr in owned for x in arr)
             sampled = False
-        limit = max_iter if max_iter is not None else 1 << 30
+        limit = _limit(max_iter)
         for i in range(0, len(piv), batch):
             bp = piv[i : i + batch]
             t0 = time.time()
             ray.get([a.init_bc.remote(bp, i == 0) for a in actors])
             d = 0
             while d < limit:
-                routed = self._scatter(actors, "scatter_bc_fwd", d)
                 new = sum(
-                    ray.get(
-                        [actors[j].gather_bc_fwd.remote(routed[j], j, d) for j in range(self.P)]
-                    )
+                    ray.get(self._wave(actors, ("scatter_bc_fwd", d), ("gather_bc_fwd", d)))
                 )
                 if new == 0:
                     break
                 d += 1
             ray.get([a.init_bc_delta.remote() for a in actors])
             for dd in range(d, 0, -1):
-                routed = self._scatter(actors, "scatter_bc_bwd", dd)
-                ray.get(
-                    [actors[j].gather_bc_bwd.remote(routed[j], j, dd) for j in range(self.P)]
-                )
+                ray.get(self._wave(actors, ("scatter_bc_bwd", dd), ("gather_bc_bwd", dd)))
             ray.get([a.finish_bc_batch.remote() for a in actors])
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "betweenness", "iteration": i // batch,
-                 "wall_s": time.time() - t0, "pivots_done": min(i + batch, len(piv)),
-                 "depth": int(d)},
-            )
+            self._record("betweenness", i // batch, time.time() - t0,
+                         {"pivots_done": min(i + batch, len(piv)), "depth": int(d)})
         if normalized:
             scale = 1.0 / ((n_total - 1) * (n_total - 2)) if n_total > 2 else 0.0
         else:
             scale = 0.5
         if sampled:
             scale *= n_total / len(piv)
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_bc.remote(scale) for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_bc", (scale,),
-            output_path=output_path, label="betweenness",
-        )
+        return self._collect(actors, "result_table_bc", scale, output_path=output_path,
+                             as_table=as_table)
 
     def betweenness_fixed(
         self,
@@ -2157,36 +1862,22 @@ class Graph:
             ray.get([a.init_bc.remote(bp, False) for a in actors])
             d = 0
             while d < max_depth:
-                routed = self._scatter(actors, "scatter_bc_fwd", d)
                 new = sum(
-                    ray.get(
-                        [actors[j].gather_bc_fwd.remote(routed[j], j, d) for j in range(self.P)]
-                    )
+                    ray.get(self._wave(actors, ("scatter_bc_fwd", d), ("gather_bc_fwd", d)))
                 )
                 if new == 0:
                     break
                 d += 1
             ray.get([a.init_bc_delta_fixed.remote(i == 0) for a in actors])
             for dd in range(d, 0, -1):
-                routed = self._scatter(actors, "scatter_bc_bwd_fixed", dd, int(scale))
-                ray.get(
-                    [actors[j].gather_bc_bwd_fixed.remote(routed[j], j, dd) for j in range(self.P)]
-                )
+                ray.get(self._wave(
+                    actors, ("scatter_bc_bwd_fixed", dd, int(scale)), ("gather_bc_bwd_fixed", dd)
+                ))
             ray.get([a.finish_bc_batch_fixed.remote() for a in actors])
-            ckpt.append_metrics(
-                self.workdir,
-                {"algo": "betweenness_fixed", "iteration": i // batch,
-                 "wall_s": time.time() - t0,
-                 "pivots_done": min(i + batch, len(piv)), "depth": int(d)},
-            )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_bc_fixed.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_bc_fixed", (),
-            output_path=output_path, label="betweenness_fixed",
-        )
+            self._record("betweenness_fixed", i // batch, time.time() - t0,
+                         {"pivots_done": min(i + batch, len(piv)), "depth": int(d)})
+        return self._collect(actors, "state_table", {"bc_fixed": "bc_acc_i"},
+                             output_path=output_path, as_table=as_table)
 
     def shortest_path_counts(
         self,
@@ -2208,27 +1899,15 @@ class Graph:
                 "shortest_path_counts: rebuild the Graph with "
                 "salt_threshold above the max degree (no split hubs)"
             )
-        ray.get([a.init_bc.remote([int(source)], True) for a in actors])
-        limit = max_iter if max_iter is not None else 1 << 30
-        d = 0
-        while d < limit:
-            routed = self._scatter(actors, "scatter_bc_fwd", d)
-            new = sum(
-                ray.get(
-                    [actors[j].gather_bc_fwd.remote(routed[j], j, d) for j in range(self.P)]
-                )
-            )
-            if new == 0:
-                break
-            d += 1
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table_path_counts.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "result_table_path_counts",
-            output_path=output_path, label="path_counts",
+        # superstep d extends the BFS frontier from level d to d + 1
+        self._supersteps(
+            actors, man, "path_counts", ("scatter_bc_fwd",), ("gather_bc_fwd",),
+            max_iter=_limit(max_iter), numbered=True,
+            summary=lambda res: {"reached": int(sum(res))},
+            stop=lambda rec: rec["reached"] == 0, init=("init_bc", [int(source)], True),
         )
+        return self._collect(actors, "result_table_path_counts",
+                             output_path=output_path, as_table=as_table)
 
     def sssp_weighted(
         self,
@@ -2246,29 +1925,14 @@ class Graph:
         oracle unrolls). Returns (vid, dist), −1 unreachable. Weights
         must be non-negative integers (rounded from ``w``)."""
         actors, man = self._pool("undirected_weighted")
-        ray.get([a.init_dist.remote(int(source)) for a in actors])
-        self._broadcast_hubs(actors, man)
-        it = 0
-        limit = max_iter if max_iter is not None else 1 << 30
-        while it < limit:
-            routed = self._scatter(actors, "scatter_minplus_w")
-            changed = sum(
-                ray.get([actors[j].gather_min.remote(routed[j], j) for j in range(self.P)])
-            )
-            self._broadcast_hubs(actors, man)
-            it += 1
-            if changed == 0:
-                break
-        ray.get([a.store_dist.remote(int(source)) for a in actors])
-        if as_table:
-            t = pa.concat_tables(
-                ray.get([a.dist_table.remote([int(source)]) for a in actors])
-            )
-            return t.rename_columns(["vid", "dist"])
-        return self._result_ds(
-            actors, "dist_table", ([int(source)],),
-            output_path=output_path, label="sssp", rename=["vid", "dist"],
+        self._supersteps(
+            actors, man, "sssp_weighted", ("scatter_minplus_w",), ("gather_min",),
+            max_iter=_limit(max_iter), summary=_changed, stop=_settled,
+            init=("init_dist", int(source)),
         )
+        ray.get([a.store_dist.remote(int(source)) for a in actors])
+        return self._collect(actors, "dist_table", [int(source)], output_path=output_path,
+                             as_table=as_table, rename=["vid", "dist"])
 
     def widest_path(
         self,
@@ -2287,26 +1951,13 @@ class Graph:
         dist-to-self = 0), −1 unreachable. Weights must be positive
         integers (rounded from ``w``)."""
         actors, man = self._pool("undirected_weighted")
-        ray.get([a.init_width.remote(int(source)) for a in actors])
-        self._broadcast_hubs(actors, man)
-        it = 0
-        limit = max_iter if max_iter is not None else 1 << 30
-        while it < limit:
-            routed = self._scatter(actors, "scatter_maxmin_w")
-            changed = sum(
-                ray.get([actors[j].gather_max.remote(routed[j], j) for j in range(self.P)])
-            )
-            self._broadcast_hubs(actors, man)
-            it += 1
-            if changed == 0:
-                break
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.width_table.remote() for a in actors])
-            )
-        return self._result_ds(
-            actors, "width_table", output_path=output_path, label="widest",
+        self._supersteps(
+            actors, man, "widest_path", ("scatter_maxmin_w",), ("gather_max",),
+            max_iter=_limit(max_iter), summary=_changed, stop=_settled,
+            init=("init_width", int(source)),
         )
+        return self._collect(actors, "width_table", output_path=output_path,
+                             as_table=as_table)
 
     def topo_layers(
         self,
@@ -2326,37 +1977,24 @@ class Graph:
         count instead (the SQL-unroll contract; iterates are
         deterministic even pre-fixpoint). Returns (vid, layer)."""
         actors, man = self._pool("directed")
-        ray.get([a.init_value.remote("zero") for a in actors])
-        self._broadcast_hubs(actors, man)
-        if max_iter is not None:
-            limit = max_iter
-        else:
+        limit = max_iter
+        if limit is None:
             # cycle guard: longest simple path < |V|, so a DAG's fixpoint
             # lands within n rounds; one shard-stats wave, no vertex data
             limit = sum(
                 s["n_vertices"] for s in ray.get([a.stats.remote() for a in actors])
             ) + 1
-        it = 0
-        while it < limit:
-            routed = self._scatter(actors, "scatter_maxplus")
-            changed = sum(
-                ray.get([actors[j].gather_max.remote(routed[j], j) for j in range(self.P)])
+        rec = self._supersteps(
+            actors, man, "topo_layers", ("scatter_maxplus",), ("gather_max",),
+            max_iter=limit, summary=_changed, stop=_settled, init=("init_value", "zero"),
+        )
+        if max_iter is None and rec["changed"]:
+            raise ValueError(
+                "topo_layers: no fixpoint within |V| rounds — the graph "
+                "has a directed cycle (pass max_iter to pin rounds instead)"
             )
-            self._broadcast_hubs(actors, man)
-            it += 1
-            if changed == 0:
-                break
-        else:
-            if max_iter is None:
-                raise ValueError(
-                    "topo_layers: no fixpoint within |V| rounds — the graph "
-                    "has a directed cycle (pass max_iter to pin rounds instead)"
-                )
-        if as_table:
-            return pa.concat_tables(
-                ray.get([a.result_table.remote("layer") for a in actors])
-            )
-        return self._collect(actors, "layer", output_path)
+        return self._collect(actors, "state_table", {"layer": "val"},
+                             output_path=output_path, as_table=as_table)
 
     def approx_distances(
         self,

@@ -539,48 +539,29 @@ def coreness(
     staging is unsalted — H is not edge-decomposable, so a vertex's full
     neighborhood must stay shard-local."""
     import ray
-    import ray.data as rd
 
     from graphx_ray.pipelines.graph import Graph
-
     from graphx_ray.state import checkpoint as ckpt
 
     g = Graph(edges, num_parts=num_partitions)
     try:
         actors, _man = g._pool("undirected")
         fp = {"algo": "coreness", "P": num_partitions}
-        start = 0
-        converged = False
-        if checkpoint_dir and resume:
-            it0 = ckpt.latest_complete(checkpoint_dir, fp)
-            if it0 is not None:
-                ray.get(
-                    [
-                        a.hindex_load.remote(ckpt.part_path(checkpoint_dir, it0, p))
-                        for p, a in enumerate(actors)
-                    ]
-                )
-                start = it0 + 1
-                # a loaded checkpoint from an already-converged run is
-                # exact — without this, start == max_rounds skips the loop
-                # and a spurious 'exhausted max_rounds' warning fires
-                if ckpt.manifest_metrics(checkpoint_dir, it0).get("changed") == 0:
-                    converged = True
+        cols = {"core": "cval"}
+        start = g._resume(actors, checkpoint_dir, fp, cols) if resume else 0
+        # a loaded checkpoint from an already-converged run is exact —
+        # without this, start == max_rounds skips the loop and a spurious
+        # 'exhausted max_rounds' warning fires
+        converged = start > 0 and ckpt.manifest_metrics(
+            checkpoint_dir, start - 1).get("changed") == 0
         if start == 0:
             ray.get([a.hindex_init.remote() for a in actors])
         for rnd in range(start if not converged else max_rounds, max_rounds):
             refs = [a.hindex_ghost_vals.remote() for a in actors]
             changed = sum(ray.get([a.hindex_step.remote(refs) for a in actors]))
             if checkpoint_dir:
-                rows = ray.get(
-                    [
-                        a.hindex_write.remote(ckpt.part_path(checkpoint_dir, rnd, p))
-                        for p, a in enumerate(actors)
-                    ]
-                )
-                ckpt.write_manifest(
-                    checkpoint_dir, rnd, fp,
-                    {str(p): r for p, r in enumerate(rows)},
+                g._checkpoint(
+                    actors, checkpoint_dir, rnd, fp, cols,
                     {"algo": "coreness", "iteration": rnd, "changed": int(changed)},
                 )
             if changed == 0:
@@ -599,7 +580,7 @@ def coreness(
         # per-part parquet → lazy read_parquet: the (vid, coreness) result
         # never assembles on the driver (same Dataset-default discipline
         # as Graph._result_ds)
-        res = g._result_ds(actors, "hindex_table", label="coreness")
+        res = g._result_ds(actors, "state_table", (cols,), label="coreness")
     finally:
         g.close()
     return res

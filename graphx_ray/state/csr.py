@@ -18,10 +18,20 @@ Design (idiomatic Ray, NOT a Spark port):
   indices of sender i's unique destinations. After that, a superstep
   message is a bare float64/int64 numpy array aligned to that cached index
   — the minimum possible bytes over the object store.
+- **Shared combiners.** Every message-passing kernel is written as
+  per-edge values plus a merge: ``_src_vals`` gathers each edge's source
+  value (owned sources from the value vector, salted-hub sources from the
+  broadcast replica), ``_by_dst`` is the send-side combiner (one
+  ``ufunc.reduceat`` per unique destination, per destination part), and
+  ``_combine`` is the receive-side one (senders folded into a
+  per-vertex accumulator in ascending order, starting from
+  ``_merge_identity``). The reverse pulls (HITS/SALSA hub half-steps,
+  matching) expand pulled per-destination values with ``_per_edge``.
+  Checkpoints, results and walk rows all go through ``_write_parquet``
+  (tmp file + rename) and ``state_table``/``load_state``.
 - The per-superstep "groupby-shuffle of messages by destination-vertex
   partition" is realised through the object store, in one of two routing
-  modes (``route`` ctor arg, driven by ``Graph(scatter_route=...)`` /
-  env ``GRAPHX_SCATTER_ROUTE``):
+  modes (``route`` ctor arg, driven by ``Graph(scatter_route=...)``):
 
   * ``"packed"`` (single-node default): each sender's scatter returns ONE
     object holding its P per-destination partials (P² tiny ``ray.put``s
@@ -61,18 +71,42 @@ order every run — required for bit-identical checkpoint resume.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle
 from graphx_ray.ids import part_of
 
+if TYPE_CHECKING:
+    # shard actors import this module: keep Ray Data out of their processes
+    from ray.data import Dataset
+
 INF64 = np.int64(np.iinfo(np.int64).max)
+
+
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal key tuples in non-empty arrays
+    sorted by those keys."""
+    new = np.zeros(len(keys[0]), bool)
+    new[0] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _write_parquet(table: pa.Table, path: str) -> int:
+    """Write ``table`` to ``path`` through a tmp file and a rename, so a
+    reader (a resume after a kill included) sees the whole file or none
+    of it. Returns the row count."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp)
+    os.replace(tmp, path)
+    return table.num_rows
 
 
 # --------------------------------------------------------------------- stage
@@ -92,6 +126,8 @@ def stage_graph(
     edges: (src, dst, w [, ...]); vertices: (vid [, ...]) or None to derive
     the universe from edge endpoints. Returns a manifest dict.
     """
+    from graphx_ray.context import ensure_hash_shuffle
+
     ensure_hash_shuffle(edges)
     P = num_parts
 
@@ -298,12 +334,11 @@ class CsrShard:
                 self.run_starts.append(np.empty(0, np.int64))
                 self.uniq_dst.append(np.empty(0, np.int64))
                 continue
-            new = np.empty(e - s, bool)
-            new[0] = True
-            np.not_equal(d[1:], d[:-1], out=new[1:])
-            rs = np.flatnonzero(new)
+            rs = _runs(d)
             self.run_starts.append(rs)
             self.uniq_dst.append(d[rs])
+            new = np.zeros(e - s, np.int64)
+            new[rs] = 1
             self.edge_uniq_idx[s:e] = np.cumsum(new) - 1
 
         # out-degree of OWNED vertices: Σw over out-edges. For salted hubs the
@@ -316,8 +351,11 @@ class CsrShard:
 
         self.ghost_locals: list[np.ndarray] | None = None
         self.val: np.ndarray | None = None  # current vertex vector
-        self.hub_vals: np.ndarray | None = None  # ranks of hub vids (broadcast)
+        # set_hub_state installs hub_<name> (aligned to self.hubs) for
+        # every vector the hub broadcast ships; hub_val is the usual one
+        self.hub_val: np.ndarray | None = None
         self.hub_outdeg: np.ndarray | None = None
+        self.lpa_frozen: np.ndarray | None = None  # seeded-LPA clamp
 
     # ------------------------------------------------------------- recycling
 
@@ -362,6 +400,7 @@ class CsrShard:
     # ---------------------------------------------------------- value vectors
 
     def init_value(self, kind: str) -> None:
+        self.lpa_frozen = None  # a fresh vector ends any seeded-LPA run
         if kind == "pr":
             self.val = np.ones(self.n, np.float64)
         elif kind == "pr32":
@@ -387,20 +426,93 @@ class CsrShard:
         self.val = np.full(self.n, INF64)
         self.val[self.owned == landmark] = 0
 
-    def set_value(self, v: np.ndarray) -> None:
-        self.val = np.asarray(v)
-
-    def get_value(self) -> np.ndarray:
-        return self.val
-
-    def hub_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(hub vids owned here, their current values) for the hub broadcast."""
+    def hub_state(self, names: list) -> tuple:
+        """(hub vids owned here, [each named vector at them]): this shard's
+        side of the hub broadcast."""
         mask = np.isin(self.owned, self.hubs) if len(self.hubs) else np.zeros(self.n, bool)
-        return self.owned[mask], self.val[mask]
+        return self.owned[mask], [getattr(self, a)[mask] for a in names]
 
-    def set_hub_vals(self, vals: np.ndarray) -> None:
-        """vals aligned to self.hubs (sorted)."""
-        self.hub_vals = np.asarray(vals)
+    def set_hub_state(self, names: list, vals: list) -> None:
+        """Install the merged hub vectors as ``hub_<name>``, aligned to
+        self.hubs (sorted)."""
+        for a, v in zip(names, vals):
+            setattr(self, "hub_" + a, np.asarray(v))
+
+    # ---------------------------------------------------- shared combiners
+
+    def _src_vals(self, own: np.ndarray, hub=None, dtype=None) -> np.ndarray:
+        """Per-edge source value in storage order: ``own[src]`` for owned
+        sources, ``hub[hub_idx]`` (aligned to self.hubs) for salted-hub
+        sources. Rows of a 2-D ``own`` ride along."""
+        ev = np.empty((self.m,) + own.shape[1:], dtype or own.dtype)
+        ev[self.own_pos] = own[self.src_local]
+        if len(self.hub_pos):
+            ev[self.hub_pos] = np.asarray(hub)[self.hub_src_idx]
+        return ev
+
+    def _by_dst(self, ev: np.ndarray, ufunc) -> list:
+        """Send-side combiner: per destination part, ``ufunc`` reduces the
+        per-edge values (rows of a 2-D ``ev``) over each unique
+        destination's run — messages are pre-aggregated before the
+        shuffle. Returned as ONE object (the task return value) holding
+        all P partials: 1024 individual ``ray.put``s at P=32 serialized on
+        the plasma store lock (measured: 0.07 s of compute stretched to
+        >1 s of wall)."""
+        out = []
+        for j in range(self.P):
+            s, e = self.seg[j]
+            out.append(ufunc.reduceat(ev[s:e], self.run_starts[j], axis=0) if e > s else ev[:0])
+        return out
+
+    def _my_parts(self, sender_refs: list, j: int) -> list:
+        """Batched zero-copy fetch of every sender's scatter output for
+        this receiver. "packed": each ref resolves to the sender's full
+        P-partial object — slice partition j. "per_dest": the driver
+        already routed the per-destination refs — each resolves to this
+        receiver's partial directly."""
+        resolved = ray.get([r for r in sender_refs])
+        if self.route == "per_dest":
+            return resolved
+        return [lists[j] for lists in resolved]
+
+    _UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+    @staticmethod
+    def _merge_identity(dtype: np.dtype, merge: str):
+        if merge == "sum":
+            return dtype.type(0)
+        if dtype == np.bool_:
+            return dtype.type(merge == "min")
+        if np.issubdtype(dtype, np.integer):
+            info = np.iinfo(dtype)
+            return dtype.type(info.max if merge == "min" else info.min)
+        return dtype.type(np.inf if merge == "min" else -np.inf)
+
+    def _combine(self, parts: list, merge: str, dtype=None) -> np.ndarray:
+        """Receive-side combiner: fold every sender's partials (aligned to
+        its cached ghost index) into a per-owned-vertex accumulator,
+        senders in order 0..P-1 — the fixed float summation order that
+        bit-identical resume relies on. Vertices no message reached keep
+        the merge identity. The dtype is the messages' own (``dtype``,
+        else the empty partials', when none arrived)."""
+        ufunc = self._UFUNCS[merge]
+        live = [(self.ghost_locals[i], v) for i, v in enumerate(parts) if len(v)]
+        dt = np.dtype(live[0][1].dtype if live else dtype if dtype is not None else parts[0].dtype)
+        acc = np.full((self.n,) + parts[0].shape[1:], self._merge_identity(dt, merge), dt)
+        for loc, vals in live:
+            acc[loc] = ufunc(acc[loc], vals)
+        return acc
+
+    def _per_edge(self, parts: list, dtype) -> np.ndarray:
+        """Reverse-pull expansion: each owner part returned values aligned
+        to this part's unique destinations there; spread them over every
+        edge of the matching run, in storage order."""
+        out = np.empty(self.m, dtype)
+        for jj, vals in enumerate(parts):
+            s, e = self.seg[jj]
+            if e > s:
+                out[s:e] = vals[self.edge_uniq_idx[s:e]]
+        return out
 
     # ------------------------------------------------------------- supersteps
 
@@ -417,62 +529,37 @@ class CsrShard:
             self._hub_outdeg32 = None
         w = self._w32 if f32 else self.w
         outdeg = self._outdeg32 if f32 else self.outdeg
-        ev = np.empty(self.m, self.val.dtype)
         contrib_own = self.val / np.maximum(outdeg, outdeg.dtype.type(1.0))
-        ev[self.own_pos] = contrib_own[self.src_local] * w[self.own_pos]
+        hub_contrib = None
         if len(self.hub_pos):
             hub_od = self.hub_outdeg
             if f32:
                 if self._hub_outdeg32 is None:
                     self._hub_outdeg32 = np.asarray(self.hub_outdeg, np.float32)
                 hub_od = self._hub_outdeg32
-            hub_contrib = np.asarray(self.hub_vals, ev.dtype) / np.maximum(hub_od, 1.0)
-            ev[self.hub_pos] = hub_contrib[self.hub_src_idx] * w[self.hub_pos]
-        return ev
+            hub_contrib = np.asarray(self.hub_val, self.val.dtype) / np.maximum(hub_od, 1.0)
+        return self._src_vals(contrib_own, hub_contrib) * w
 
     def _edge_vals_label(self) -> np.ndarray:
-        ev = np.empty(self.m, np.int64)
-        ev[self.own_pos] = self.val[self.src_local]
-        if len(self.hub_pos):
-            ev[self.hub_pos] = self.hub_vals[self.hub_src_idx]
-        return ev
+        return self._src_vals(self.val, self.hub_val, np.int64)
 
     def scatter_sum(self) -> list:
-        """PR scatter: per dst-part partial sums aligned to the ghost index.
+        """PageRank scatter: per dst-part partial sums of w·r/outdeg,
+        aligned to the ghost index."""
+        return self._by_dst(self._edge_vals_pr(), np.add)
 
-        Returned as ONE object (the task return value) holding all P
-        partials: 1024 individual ``ray.put``s at P=32 serialized on the
-        plasma store lock (measured: 0.07 s of compute stretched to >1 s of
-        wall). Receivers ``ray.get`` the sender's object zero-copy from
-        shared memory and slice their partition. Multi-node trade-off
-        (receiver pulls the sender's full output) is documented in the
-        module docstring; per-destination objects are the alternative when
-        network amplification dominates."""
-        ev = self._edge_vals_pr()
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.add.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.float64))
-        return out
-
-    def _my_parts(self, sender_refs: list, j: int) -> list:
-        """Batched zero-copy fetch of every sender's scatter output for
-        this receiver. "packed": each ref resolves to the sender's full
-        P-partial object — slice partition j. "per_dest": the driver
-        already routed the per-destination refs — each resolves to this
-        receiver's partial directly."""
-        resolved = ray.get([r for r in sender_refs])
-        if self.route == "per_dest":
-            return resolved
-        return [lists[j] for lists in resolved]
-
-    def gather_sum(self, sender_refs: list, j: int, alpha: float) -> tuple[float, float]:
-        acc = np.zeros(self.n, self.val.dtype if self.val is not None else np.float64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
-        new = alpha + (1.0 - alpha) * acc
+    def gather_sum(self, sender_refs: list, j: int, alpha: float,
+                   sources=None) -> tuple[float, float]:
+        """PageRank-family gather r' = reset + (1−α)·Σ msgs; returns (L1
+        delta, mass). The reset is α on every vertex (static PageRank),
+        or α·1[v = s] for personalized PageRank: ``sources`` is one vid s,
+        or a list of them (one rank column each)."""
+        acc = self._combine(self._my_parts(sender_refs, j), "sum")
+        reset = alpha
+        if sources is not None:
+            s = np.asarray(sources, np.int64)
+            reset = alpha * (self.owned[:, None] == s if s.ndim else self.owned == s)
+        new = reset + (1.0 - alpha) * acc
         delta = float(np.abs(new - self.val).sum()) if self.val is not None else float("inf")
         self.val = new
         return delta, float(new.sum())
@@ -492,25 +579,12 @@ class CsrShard:
     def scatter_hits_auth(self) -> list:
         """a(v) = Σ_{u→v} w·h(u) partial sums per destination part (no
         outdeg division, unlike PageRank)."""
-        ev = np.empty(self.m, np.float64)
-        ev[self.own_pos] = self.val[self.src_local] * self.w[self.own_pos]
-        if len(self.hub_pos):
-            hv = np.asarray(self.hub_vals, np.float64)
-            ev[self.hub_pos] = hv[self.hub_src_idx] * self.w[self.hub_pos]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.add.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.float64))
-        return out
+        h = self._src_vals(self.val, self.hub_val, np.float64)
+        return self._by_dst(h * self.w, np.add)
 
     def gather_hits_auth(self, sender_refs: list, j: int) -> float:
-        acc = np.zeros(self.n, np.float64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
-        self.val_a = acc
-        return float(acc.sum())
+        self.val_a = self._combine(self._my_parts(sender_refs, j), "sum")
+        return float(self.val_a.sum())
 
     def scale_hits_auth(self, norm: float) -> None:
         if norm:
@@ -528,12 +602,7 @@ class CsrShard:
         across this part's edge runs and reduce by OWN src. Hub-src
         contributions return as a partial for the driver merge (a salted
         hub's out-edges span parts, exactly like outdeg at staging)."""
-        ev = np.empty(self.m, np.float64)
-        for jj, avals in enumerate(self._my_parts(sender_refs, j)):
-            s, e = self.seg[jj]
-            if e > s:
-                ev[s:e] = avals[self.edge_uniq_idx[s:e]]
-        contrib = ev * self.w
+        contrib = self._per_edge(self._my_parts(sender_refs, j), np.float64) * self.w
         h_new = np.zeros(self.n, np.float64)
         np.add.at(h_new, self.src_local, contrib[self.own_pos])
         self._h_pending = h_new
@@ -560,15 +629,6 @@ class CsrShard:
         self.val = h
         del self._h_pending
         return delta
-
-    def result_table_hits(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "hub": pa.array(self.val),
-                "auth": pa.array(self.val_a),
-            }
-        )
 
     # ------------------------------------------------- deterministic walks
     # Seeded random walks (SURVEY.md A.10). Walk state lives with a shard
@@ -608,10 +668,7 @@ class CsrShard:
                     np.empty(0, np.uint64))
         order = np.lexsort((dst, hi))
         hi, dst, w = hi[order], dst[order], w[order]
-        new = np.empty(len(hi), bool)
-        new[0] = True
-        new[1:] = (hi[1:] != hi[:-1]) | (dst[1:] != dst[:-1])
-        rs = np.flatnonzero(new)
+        rs = _runs(hi, dst)
         return hi[rs], dst[rs], np.add.reduceat(w, rs)
 
     def set_walk_hub_adj(self, hub_adj) -> None:
@@ -669,10 +726,7 @@ class CsrShard:
         order = np.lexsort((dst, sl))
         sl, dst, w = sl[order], dst[order], w[order]
         if len(sl):
-            new = np.empty(len(sl), bool)
-            new[0] = True
-            new[1:] = (sl[1:] != sl[:-1]) | (dst[1:] != dst[:-1])
-            rs = np.flatnonzero(new)
+            rs = _runs(sl, dst)
             asl, adst = sl[rs], dst[rs]
             aw = np.add.reduceat(w, rs)
         else:
@@ -739,11 +793,7 @@ class CsrShard:
                 "vid": pa.array(vids, type=pa.int64()),
             }
         )
-        os.makedirs(self._wk_rows_dir, exist_ok=True)
-        path = os.path.join(self._wk_rows_dir, f"part-{self.part}-step-{t}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+        _write_parquet(tbl, os.path.join(self._wk_rows_dir, f"part-{self.part}-step-{t}.parquet"))
 
     def _wk_base(self, start: np.ndarray, walk: np.ndarray) -> np.ndarray:
         from graphx_ray.ids import mix64
@@ -798,10 +848,7 @@ class CsrShard:
     def walk_gather(self, sender_refs: list, j: int, t: int) -> int:
         """Adopt arriving walks (fixed sender merge order), record their
         step-t rows."""
-        parts = self._my_parts(sender_refs, j)
-        start = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        walk = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.uint64)
-        vids = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, np.int64)
+        start, walk, vids = (np.concatenate(c) for c in zip(*self._my_parts(sender_refs, j)))
         loc = self._walk_slot_of(vids)
         self.wk_start, self.wk_walk, self.wk_cur = start, walk, loc
         self._wk_emit(
@@ -961,13 +1008,9 @@ class CsrShard:
     def n2v_gather(self, sender_refs: list, j: int, t: int) -> int:
         """Adopt arriving node2vec walks (fixed sender merge order) with
         their prev vertex and prev-neighbor lists; record step-t rows."""
-        parts = self._my_parts(sender_refs, j)
-        start = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        walk = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.uint64)
-        vids = np.concatenate([p[2] for p in parts]) if parts else np.empty(0, np.int64)
-        prev = np.concatenate([p[3] for p in parts]) if parts else np.empty(0, np.int64)
-        pn = np.concatenate([p[4] for p in parts]) if parts else np.empty(0, np.int64)
-        pdeg = np.concatenate([p[5] for p in parts]) if parts else np.empty(0, np.int64)
+        start, walk, vids, prev, pn, pdeg = (
+            np.concatenate(c) for c in zip(*self._my_parts(sender_refs, j))
+        )
         loc = self._walk_slot_of(vids)
         self.wk_start, self.wk_walk, self.wk_cur, self.wk_prev = start, walk, loc, prev
         self.wk_pn_flat = pn
@@ -1002,23 +1045,11 @@ class CsrShard:
         self.val = np.where(self.mis_status == 0, v, 0).astype(np.int64)
 
     def scatter_max(self) -> list:
-        ev = self._edge_vals_label()
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.maximum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64)
-            )
-        return out
+        return self._by_dst(self._edge_vals_label(), np.maximum)
 
     def _gather_max_acc(self, sender_refs: list, j: int) -> np.ndarray:
-        acc = np.zeros(self.n, np.int64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                loc = self.ghost_locals[i]
-                acc[loc] = np.maximum(acc[loc], vals)
-        return acc
+        # staged values are ≥ 0, so 0 stands for "no message"
+        return np.maximum(self._combine(self._my_parts(sender_refs, j), "max"), 0)
 
     def gather_mis_join(self, sender_refs: list, j: int) -> int:
         acc = self._gather_max_acc(sender_refs, j)
@@ -1064,14 +1095,6 @@ class CsrShard:
         self.clr[self.mis_status == 1] = c
         return int((self.clr < 0).sum())
 
-    def result_table_coloring(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "color": pa.array(self.clr, type=pa.int64()),
-            }
-        )
-
     # ------------------------------------------------------- SALSA (A.18)
     # Lempel & Moran 2000: HITS with random-walk (degree) normalization —
     # auth: a(v) = Σ_{u→v} w·h(u)/outdeg(u), hub: h(u) = Σ_{u→v}
@@ -1091,63 +1114,30 @@ class CsrShard:
             if self.hub_outdeg is not None and len(self.hubs)
             else None
         )
-        self.sl_ind = np.zeros(self.n, np.int64)  # indeg of OWNED vertices
+        self.sl_ind: np.ndarray | None = None  # indeg of OWNED vertices
         self.sl_edge_ind: np.ndarray | None = None  # static indeg(dst) per edge
 
     def scatter_salsa_indeg(self) -> list:
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.add.reduceat(self.sl_w[s:e], rs) if e > s else np.empty(0, np.int64)
-            )
-        return out
+        return self._by_dst(self.sl_w, np.add)
 
     def gather_salsa_indeg(self, sender_refs: list, j: int) -> None:
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                np.add.at(self.sl_ind, self.ghost_locals[i], vals)
-        np.maximum(self.sl_ind, 1, out=self.sl_ind)
+        self.sl_ind = np.maximum(self._combine(self._my_parts(sender_refs, j), "sum"), 1)
 
     def pull_salsa_indeg(self) -> list:
         return [self.sl_ind[gl] for gl in self.ghost_locals]
 
     def cache_salsa_indeg(self, sender_refs: list, j: int) -> None:
-        ind = np.ones(self.m, np.int64)
-        for jj, vals in enumerate(self._my_parts(sender_refs, j)):
-            s, e = self.seg[jj]
-            if e > s:
-                ind[s:e] = vals[self.edge_uniq_idx[s:e]]
-        self.sl_edge_ind = ind
+        self.sl_edge_ind = self._per_edge(self._my_parts(sender_refs, j), np.int64)
 
     def scatter_salsa_auth(self) -> list:
         """a-step scatter: per-edge floor(h(u)·w / outdeg(u)), reduceat
         per unique dst."""
-        h = np.empty(self.m, np.int64)
-        od = np.empty(self.m, np.int64)
-        if self.n:
-            h[self.own_pos] = self.val[self.src_local]
-            od[self.own_pos] = self.sl_od[self.src_local]
-        if len(self.hub_pos):
-            h[self.hub_pos] = np.asarray(self.hub_vals)[self.hub_src_idx]
-            od[self.hub_pos] = self.sl_hub_od[self.hub_src_idx]
-        ev = (h * self.sl_w) // od
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.add.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64)
-            )
-        return out
+        h = self._src_vals(self.val, self.hub_val)
+        od = self._src_vals(self.sl_od, self.sl_hub_od)
+        return self._by_dst((h * self.sl_w) // od, np.add)
 
     def gather_salsa_auth(self, sender_refs: list, j: int) -> None:
-        acc = np.zeros(self.n, np.int64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                np.add.at(acc, self.ghost_locals[i], vals)
-        self.val_sa = acc
+        self.val_sa = self._combine(self._my_parts(sender_refs, j), "sum")
 
     def scatter_salsa_pull(self) -> list:
         return [self.val_sa[gl] for gl in self.ghost_locals]
@@ -1156,11 +1146,7 @@ class CsrShard:
         """h-step: expand pulled a across edge runs, per-edge
         floor(a(v)·w / indeg(v)), reduce by own src; hub-src partial
         returns for the driver merge (REPLACE, like HITS)."""
-        av = np.zeros(self.m, np.int64)
-        for jj, vals in enumerate(self._my_parts(sender_refs, j)):
-            s, e = self.seg[jj]
-            if e > s:
-                av[s:e] = vals[self.edge_uniq_idx[s:e]]
+        av = self._per_edge(self._my_parts(sender_refs, j), np.int64)
         contrib = (av * self.sl_w) // self.sl_edge_ind
         h_new = np.zeros(self.n, np.int64)
         if self.n:
@@ -1182,15 +1168,6 @@ class CsrShard:
                 ]
         self.val = h
         del self._sl_h_pending
-
-    def result_table_salsa(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "hub": pa.array(self.val, type=pa.int64()),
-                "auth": pa.array(self.val_sa, type=pa.int64()),
-            }
-        )
 
     # ---------------------------------------------- maximal matching (A.17)
     # Deterministic local-max matching (the Israeli–Itai / Preis family,
@@ -1218,22 +1195,14 @@ class CsrShard:
         f = (self.val >= 0).astype(np.int8)
         return [f[gl] for gl in self.ghost_locals]
 
-    def match_stage_priorities(self, round_const: int, flag_refs: list, j: int) -> int:
+    def match_stage_priorities(self, flag_refs: list, j: int, round_const: int) -> int:
         """Active-edge priorities + per-owned-vertex (and hub-partial)
         best tuples; returns this shard's active-edge count."""
         from graphx_ray.ids import mix64
 
-        dflag = np.zeros(self.m, bool)
-        for jj, fl in enumerate(self._my_parts(flag_refs, j)):
-            s, e = self.seg[jj]
-            if e > s:
-                dflag[s:e] = fl[self.edge_uniq_idx[s:e]].astype(bool)
-        sflag = np.empty(self.m, bool)
-        if self.n:
-            own_matched = self.val >= 0
-            sflag[self.own_pos] = own_matched[self.src_local]
-        if len(self.hub_pos):
-            sflag[self.hub_pos] = (np.asarray(self.hub_vals) >= 0)[self.hub_src_idx]
+        dflag = self._per_edge(self._my_parts(flag_refs, j), bool)
+        hub_matched = None if self.hub_val is None else self.hub_val >= 0
+        sflag = self._src_vals(self.val >= 0, hub_matched)
         active = ~sflag & ~dflag
         p = np.zeros(self.m, np.uint64)
         if active.any():
@@ -1295,28 +1264,11 @@ class CsrShard:
         """Edges winning at both endpoints set partners for owned
         sources; hub-source winners return as (hub_idx, partner)
         partials for the driver merge."""
-        dbp = np.zeros(self.m, np.uint64)
-        dbu = np.full(self.m, -1, np.int64)
-        dbv = np.full(self.m, -1, np.int64)
-        for jj, (bp, bu, bv) in enumerate(self._my_parts(best_refs, j)):
-            s, e = self.seg[jj]
-            if e > s:
-                ui = self.edge_uniq_idx[s:e]
-                dbp[s:e] = bp[ui]
-                dbu[s:e] = bu[ui]
-                dbv[s:e] = bv[ui]
-        sbp = np.zeros(self.m, np.uint64)
-        sbu = np.full(self.m, -1, np.int64)
-        sbv = np.full(self.m, -1, np.int64)
-        if self.n:
-            sbp[self.own_pos] = self.mm_best[0][self.src_local]
-            sbu[self.own_pos] = self.mm_best[1][self.src_local]
-            sbv[self.own_pos] = self.mm_best[2][self.src_local]
-        if len(self.hub_pos):
-            hb = self.mm_hub_best
-            sbp[self.hub_pos] = hb[0][self.hub_src_idx]
-            sbu[self.hub_pos] = hb[1][self.hub_src_idx]
-            sbv[self.hub_pos] = hb[2][self.hub_src_idx]
+        parts = self._my_parts(best_refs, j)
+        dbp, dbu, dbv = (self._per_edge([p[k] for p in parts], d)
+                         for k, d in enumerate((np.uint64, np.int64, np.int64)))
+        hb = getattr(self, "mm_hub_best", (None,) * 3)
+        sbp, sbu, sbv = (self._src_vals(self.mm_best[k], hb[k]) for k in range(3))
         win = (
             self.mm_active
             & (self.mm_p == sbp) & (self.mm_cu == sbu) & (self.mm_cv == sbv)
@@ -1342,14 +1294,6 @@ class CsrShard:
         if mask.any():
             pos = np.searchsorted(self.hubs[idx], self.owned[mask])
             self.val[mask] = np.asarray(partner)[pos]
-
-    def result_table_matching(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "partner": pa.array(self.val, type=pa.int64()),
-            }
-        )
 
     # ------------------------------------------------------- Louvain (A.16)
     # Synchronous deterministic Louvain local-move rounds (Blondel et al.
@@ -1414,10 +1358,7 @@ class CsrShard:
                 out.append(empty)
                 continue
             cj, kj = cs[s:e], ks[s:e]
-            new = np.empty(e - s, bool)
-            new[0] = True
-            np.not_equal(cj[1:], cj[:-1], out=new[1:])
-            rs = np.flatnonzero(new)
+            rs = _runs(cj)
             out.append((cj[rs], np.add.reduceat(kj, rs)))
         return out
 
@@ -1433,10 +1374,7 @@ class CsrShard:
         v = np.concatenate([p[1] for p in parts])
         order = np.argsort(c, kind="stable")
         cs, vs = c[order], v[order]
-        new = np.empty(len(cs), bool)
-        new[0] = True
-        np.not_equal(cs[1:], cs[:-1], out=new[1:])
-        rs = np.flatnonzero(new)
+        rs = _runs(cs)
         self.lv_own_ids = cs[rs]
         self.lv_own_vol = np.add.reduceat(vs, rs)
         out = []
@@ -1480,16 +1418,9 @@ class CsrShard:
         if self.m == 0:
             return [empty] * self.P
         lab = self._edge_vals_label()
-        vol = np.empty(self.m, np.int64)
-        flg = np.empty(self.m, bool)
-        if self.n:
-            pos = np.searchsorted(self.lv_vol_ids, self.val)
-            myvol = self.lv_vol[pos]
-            vol[self.own_pos] = myvol[self.src_local]
-            flg[self.own_pos] = (myvol == self.lv_k)[self.src_local]
-        if len(self.hub_pos):
-            vol[self.hub_pos] = self.lv_hub_vol[self.hub_src_idx]
-            flg[self.hub_pos] = self.lv_hub_flag[self.hub_src_idx]
+        myvol = self.lv_vol[np.searchsorted(self.lv_vol_ids, self.val)]
+        vol = self._src_vals(myvol, self.lv_hub_vol)
+        flg = self._src_vals(myvol == self.lv_k, self.lv_hub_flag)
         out = []
         for j in range(self.P):
             s, e = self.seg[j]
@@ -1500,13 +1431,7 @@ class CsrShard:
             lj, wj, vj, fj = lab[s:e], self.lv_w_eff[s:e], vol[s:e], flg[s:e]
             order = np.lexsort((lj, uidx))
             uo, lo, wo = uidx[order], lj[order], wj[order]
-            new = np.empty(e - s, bool)
-            new[0] = True
-            np.not_equal(uo[1:], uo[:-1], out=new[1:])
-            lab_new = np.empty(e - s, bool)
-            lab_new[0] = True
-            np.not_equal(lo[1:], lo[:-1], out=lab_new[1:])
-            rs = np.flatnonzero(new | lab_new)
+            rs = _runs(uo, lo)
             out.append(
                 (uo[rs], lo[rs], np.add.reduceat(wo, rs),
                  vj[order][rs], fj[order][rs])
@@ -1536,13 +1461,7 @@ class CsrShard:
         f = np.concatenate(flgs)
         order = np.lexsort((l, d))
         d, l, w, v, f = d[order], l[order], w[order], v[order], f[order]
-        new = np.empty(len(d), bool)
-        new[0] = True
-        np.not_equal(d[1:], d[:-1], out=new[1:])
-        lab_new = np.empty(len(d), bool)
-        lab_new[0] = True
-        np.not_equal(l[1:], l[:-1], out=lab_new[1:])
-        rs = np.flatnonzero(new | lab_new)
+        rs = _runs(d, l)
         d, l, v, f = d[rs], l[rs], v[rs], f[rs]
         w = np.add.reduceat(w, rs)
 
@@ -1562,9 +1481,7 @@ class CsrShard:
         sc = two_m * cw - k[cd] * cv
         order2 = np.lexsort((cl, -sc, cd))
         cd2, cl2, sc2, cf2 = cd[order2], cl[order2], sc[order2], cf[order2]
-        first = np.empty(len(cd2), bool)
-        first[0] = True
-        np.not_equal(cd2[1:], cd2[:-1], out=first[1:])
+        first = _runs(cd2)
         bd, bl, bs, bf = cd2[first], cl2[first], sc2[first], cf2[first]
         own_b = self.val[bd]
         singleton_v = vol_own[bd] == k[bd]
@@ -1615,25 +1532,8 @@ class CsrShard:
             self.bc_acc = np.zeros(self.n, np.float64)
 
     def _bc_edge_vals(self, contrib: np.ndarray) -> list:
-        ev = np.zeros((self.m, contrib.shape[1]), np.float64)
-        ev[self.own_pos] = contrib[self.src_local]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.add.reduceat(ev[s:e], rs, axis=0)
-                if e > s
-                else np.empty((0, contrib.shape[1]), np.float64)
-            )
-        return out
-
-    def _bc_gather_acc(self, sender_refs: list, j: int) -> np.ndarray:
-        acc = np.zeros_like(self.bc_sigma)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
-        return acc
+        # no salted hubs here (the drivers refuse them), so every edge source is owned
+        return self._by_dst(self._src_vals(contrib), np.add)
 
     def scatter_bc_fwd(self, d: int) -> list:
         """Forward σ scatter: frontier (dist == d) vertices send σ."""
@@ -1641,7 +1541,7 @@ class CsrShard:
         return self._bc_edge_vals(contrib)
 
     def gather_bc_fwd(self, sender_refs: list, j: int, d: int) -> int:
-        acc = self._bc_gather_acc(sender_refs, j)
+        acc = self._combine(self._my_parts(sender_refs, j), "sum")
         new = (self.bc_dist == INF64) & (acc > 0)
         self.bc_dist[new] = d + 1
         self.bc_sigma[new] = acc[new]
@@ -1658,7 +1558,7 @@ class CsrShard:
         return self._bc_edge_vals(contrib)
 
     def gather_bc_bwd(self, sender_refs: list, j: int, d: int) -> None:
-        acc = self._bc_gather_acc(sender_refs, j)
+        acc = self._combine(self._my_parts(sender_refs, j), "sum")
         tgt = self.bc_dist == d - 1
         self.bc_delta[tgt] += (self.bc_sigma * acc)[tgt]
 
@@ -1713,20 +1613,6 @@ class CsrShard:
         if reset or getattr(self, "bc_acc_i", None) is None:
             self.bc_acc_i = np.zeros(self.n, np.int64)
 
-    def _bc_edge_vals_int(self, contrib: np.ndarray) -> list:
-        ev = np.zeros((self.m, contrib.shape[1]), np.int64)
-        ev[self.own_pos] = contrib[self.src_local]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.add.reduceat(ev[s:e], rs, axis=0)
-                if e > s
-                else np.empty((0, contrib.shape[1]), np.int64)
-            )
-        return out
-
     def scatter_bc_bwd_fixed(self, d: int, scale: int) -> list:
         mask = (self.bc_dist == d) & (self._bc_sigma_i > 0)
         contrib = np.where(
@@ -1735,13 +1621,10 @@ class CsrShard:
             // np.where(mask, self._bc_sigma_i, 1),
             0,
         )
-        return self._bc_edge_vals_int(contrib)
+        return self._bc_edge_vals(contrib)
 
     def gather_bc_bwd_fixed(self, sender_refs: list, j: int, d: int) -> None:
-        acc = np.zeros(self.bc_delta_i.shape, np.int64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
+        acc = self._combine(self._my_parts(sender_refs, j), "sum")
         hi = int(acc.max(initial=0)) * int(self._bc_sigma_i.max(initial=0))
         if hi >= 1 << 62:
             raise OverflowError(
@@ -1760,14 +1643,6 @@ class CsrShard:
         self.bc_dist = self.bc_sigma = None
         self.bc_delta_i = self._bc_sigma_i = None
 
-    def result_table_bc_fixed(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "bc_fixed": pa.array(self.bc_acc_i, type=pa.int64()),
-            }
-        )
-
     def walk_rows_table(self) -> pa.Table:
         rows = getattr(self, "_wk_rows", [])
         if not rows:
@@ -1785,46 +1660,26 @@ class CsrShard:
         )
 
     def scatter_min(self) -> list:
-        ev = self._edge_vals_label()
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.minimum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64))
-        return out
+        return self._by_dst(self._edge_vals_label(), np.minimum)
 
     def scatter_minplus(self) -> list:
         """Shortest-paths scatter: msg = dist(src) + 1 (∞ stays ∞)."""
         ev = self._edge_vals_label()
-        ev = np.where(ev == INF64, INF64, ev + 1)
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.minimum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64))
-        return out
+        return self._by_dst(np.where(ev == INF64, INF64, ev + 1), np.minimum)
+
+    def _w_rounded(self) -> np.ndarray:
+        if not hasattr(self, "_w_int"):
+            self._w_int = np.rint(self.w).astype(np.int64)
+        return self._w_int
 
     def scatter_minplus_w(self) -> list:
         """WEIGHTED shortest-paths scatter (Bellman-Ford relaxation):
         msg = dist(src) + w, integer edge weights (∞ stays ∞)."""
-        if not hasattr(self, "_w_int"):
-            self._w_int = np.rint(self.w).astype(np.int64)
         ev = self._edge_vals_label()
-        ev = np.where(ev == INF64, INF64, ev + self._w_int)
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.minimum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64))
-        return out
+        return self._by_dst(np.where(ev == INF64, INF64, ev + self._w_rounded()), np.minimum)
 
     def gather_min(self, sender_refs: list, j: int) -> int:
-        cand = np.full(self.n, INF64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                loc = self.ghost_locals[i]  # unique per sender ⇒ fancy-index min
-                cand[loc] = np.minimum(cand[loc], vals)
-        new = np.minimum(self.val, cand)
+        new = np.minimum(self.val, self._combine(self._my_parts(sender_refs, j), "min"))
         changed = int((new != self.val).sum())
         self.val = new
         return changed
@@ -1839,38 +1694,20 @@ class CsrShard:
         """Widest-path (bottleneck / max-min semiring) scatter:
         msg = min(width(src), w) with integer weights; an unreachable
         source value (−1) propagates −1 (no effect under the max gather)."""
-        if not hasattr(self, "_w_int"):
-            self._w_int = np.rint(self.w).astype(np.int64)
         ev = self._edge_vals_label()
-        ev = np.where(ev < 0, np.int64(-1), np.minimum(ev, self._w_int))
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.maximum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64))
-        return out
+        ev = np.where(ev < 0, np.int64(-1), np.minimum(ev, self._w_rounded()))
+        return self._by_dst(ev, np.maximum)
 
     def scatter_maxplus(self) -> list:
         """Longest-path layering scatter (max-plus semiring):
         msg = layer(src) + 1."""
-        ev = self._edge_vals_label() + 1
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.maximum.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.int64))
-        return out
+        return self._by_dst(self._edge_vals_label() + 1, np.maximum)
 
     def gather_max(self, sender_refs: list, j: int) -> int:
         """Monotone max-combine (mirror of gather_min): widest-path widths
         and topo layers only ever improve, so max against the current
         value is the fixpoint iteration for both semirings."""
-        cand = np.full(self.n, np.int64(np.iinfo(np.int64).min))
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                loc = self.ghost_locals[i]
-                cand[loc] = np.maximum(cand[loc], vals)
-        new = np.maximum(self.val, cand)
+        new = np.maximum(self.val, self._combine(self._my_parts(sender_refs, j), "max"))
         changed = int((new != self.val).sum())
         self.val = new
         return changed
@@ -1885,76 +1722,15 @@ class CsrShard:
              "width": pa.array(w, type=pa.int64())}
         )
 
-    def scatter_label_hist(self) -> list:
-        """LPA scatter: per dst-part runs of (uniq_idx, label, Σw)."""
-        lab = self._edge_vals_label()
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            if e == s:
-                out.append((np.empty(0, np.int64),) * 3)
-                continue
-            uidx = self.edge_uniq_idx[s:e]
-            lj = lab[s:e]
-            wj = self.w[s:e]
-            order = np.lexsort((lj, uidx))
-            uo, lo, wo = uidx[order], lj[order], wj[order]
-            new = np.empty(e - s, bool)
-            new[0] = True
-            np.not_equal(uo[1:], uo[:-1], out=new[1:])
-            lab_new = np.empty(e - s, bool)
-            lab_new[0] = True
-            np.not_equal(lo[1:], lo[:-1], out=lab_new[1:])
-            rs = np.flatnonzero(new | lab_new)
-            cnt = np.add.reduceat(wo, rs)
-            out.append((uo[rs], lo[rs], cnt.astype(np.float64)))
-        return out
-
-    def gather_label_hist(self, sender_refs: list, j: int) -> int:
-        dsts, labs, cnts = [], [], []
-        for i, (u, l, c) in enumerate(self._my_parts(sender_refs, j)):
-            if len(u):
-                dsts.append(self.ghost_locals[i][u])
-                labs.append(l)
-                cnts.append(c)
-        if not dsts:
-            return 0
-        d = np.concatenate(dsts)
-        l = np.concatenate(labs)
-        c = np.concatenate(cnts)
-        # merge duplicate (dst, label) pairs across senders
-        order = np.lexsort((l, d))
-        d, l, c = d[order], l[order], c[order]
-        new = np.empty(len(d), bool)
-        new[0] = True
-        np.not_equal(d[1:], d[:-1], out=new[1:])
-        lab_new = np.empty(len(d), bool)
-        lab_new[0] = True
-        np.not_equal(l[1:], l[:-1], out=lab_new[1:])
-        rs = np.flatnonzero(new | lab_new)
-        d, l = d[rs], l[rs]
-        c = np.add.reduceat(c, rs)
-        # per dst: argmax count, tie → smallest label (pinned rule, SURVEY A.3)
-        order2 = np.lexsort((l, -c, d))
-        d2, l2 = d[order2], l[order2]
-        first = np.empty(len(d2), bool)
-        first[0] = True
-        np.not_equal(d2[1:], d2[:-1], out=first[1:])
-        upd_dst = d2[first]
-        upd_lab = l2[first]
-        new_val = self.val.copy()
-        new_val[upd_dst] = upd_lab
-        changed = int((new_val != self.val).sum())
-        self.val = new_val
-        return changed
-
-    # ------------------------------------------------ seeded LPA (A.3b)
-    # (semi-supervised community propagation, the hard-clamp variant of
-    # Zhu & Ghahramani 2002: seed vertices carry FROZEN labels, everyone
-    # else starts unlabeled (-1) and adopts the weighted-majority label
-    # among its LABELED neighbors — unlabeled neighbors cast no vote,
-    # ties → smallest label, the A.3 pinned rule. State lives in
-    # self.val (int64), so the ordinary hub broadcast works unchanged.)
+    # -------------------------------------------------- label propagation
+    # Synchronous LPA (A.3) and its seeded variant (A.3b: semi-supervised
+    # community propagation, the hard-clamp variant of Zhu & Ghahramani
+    # 2002). Seeded mode is shard state: ``lpa_seed_init`` sets the
+    # ``lpa_frozen`` mask, seed vertices carry FROZEN labels, everyone else
+    # starts unlabeled (-1) and adopts the weighted-majority label among
+    # its LABELED neighbors — unlabeled neighbors cast no vote. Ties →
+    # smallest label, the A.3 pinned rule, in both modes. State lives in
+    # self.val (int64), so the ordinary hub broadcast works unchanged.
 
     def lpa_seed_init(self, seed_vids: np.ndarray, seed_labels: np.ndarray) -> int:
         """Set the seeded state; ``seed_vids`` must be sorted unique.
@@ -1969,36 +1745,30 @@ class CsrShard:
         self.lpa_frozen[idx[ok]] = True
         return int(ok.sum())
 
-    def scatter_label_seeded(self) -> list:
-        """LPA scatter over LABELED sources only: per dst-part runs of
-        (uniq_idx, label, Σw) with label ≥ 0."""
+    def scatter_label_hist(self) -> list:
+        """LPA scatter: per dst-part runs of (uniq_idx, label, Σw); in
+        seeded mode only LABELED sources (label ≥ 0) vote."""
         lab = self._edge_vals_label()
         out = []
         for j in range(self.P):
             s, e = self.seg[j]
-            keep = lab[s:e] >= 0
-            if e == s or not keep.any():
+            uidx, lj, wj = self.edge_uniq_idx[s:e], lab[s:e], self.w[s:e]
+            if self.lpa_frozen is not None:
+                keep = lj >= 0
+                uidx, lj, wj = uidx[keep], lj[keep], wj[keep]
+            if not len(uidx):
                 out.append((np.empty(0, np.int64),) * 3)
                 continue
-            uidx = self.edge_uniq_idx[s:e][keep]
-            lj = lab[s:e][keep]
-            wj = self.w[s:e][keep]
             order = np.lexsort((lj, uidx))
             uo, lo, wo = uidx[order], lj[order], wj[order]
-            new = np.empty(len(uo), bool)
-            new[0] = True
-            np.not_equal(uo[1:], uo[:-1], out=new[1:])
-            lab_new = np.empty(len(uo), bool)
-            lab_new[0] = True
-            np.not_equal(lo[1:], lo[:-1], out=lab_new[1:])
-            rs = np.flatnonzero(new | lab_new)
-            cnt = np.add.reduceat(wo, rs)
-            out.append((uo[rs], lo[rs], cnt.astype(np.float64)))
+            rs = _runs(uo, lo)
+            out.append((uo[rs], lo[rs], np.add.reduceat(wo, rs)))
         return out
 
-    def gather_label_seeded(self, sender_refs: list, j: int) -> int:
-        """The gather_label_hist merge/argmax with the frozen-seed clamp:
-        seeds never update, voteless vertices keep their label."""
+    def gather_label_hist(self, sender_refs: list, j: int) -> int:
+        """Merge the senders' (dst, label, Σw) runs, adopt each vertex's
+        argmax label (ties → smallest); seeded mode never updates a
+        frozen seed, and voteless vertices keep their label."""
         dsts, labs, cnts = [], [], []
         for i, (u, l, c) in enumerate(self._my_parts(sender_refs, j)):
             if len(u):
@@ -2010,27 +1780,22 @@ class CsrShard:
         d = np.concatenate(dsts)
         l = np.concatenate(labs)
         c = np.concatenate(cnts)
+        # merge duplicate (dst, label) pairs across senders
         order = np.lexsort((l, d))
         d, l, c = d[order], l[order], c[order]
-        new = np.empty(len(d), bool)
-        new[0] = True
-        np.not_equal(d[1:], d[:-1], out=new[1:])
-        lab_new = np.empty(len(d), bool)
-        lab_new[0] = True
-        np.not_equal(l[1:], l[:-1], out=lab_new[1:])
-        rs = np.flatnonzero(new | lab_new)
+        rs = _runs(d, l)
         d, l = d[rs], l[rs]
         c = np.add.reduceat(c, rs)
+        # per dst: argmax count, tie → smallest label (pinned rule, SURVEY A.3)
         order2 = np.lexsort((l, -c, d))
         d2, l2 = d[order2], l[order2]
-        first = np.empty(len(d2), bool)
-        first[0] = True
-        np.not_equal(d2[1:], d2[:-1], out=first[1:])
-        upd_dst = d2[first]
-        upd_lab = l2[first]
-        unfrozen = ~self.lpa_frozen[upd_dst]
+        first = _runs(d2)
+        upd_dst, upd_lab = d2[first], l2[first]
+        if self.lpa_frozen is not None:
+            unfrozen = ~self.lpa_frozen[upd_dst]
+            upd_dst, upd_lab = upd_dst[unfrozen], upd_lab[unfrozen]
         new_val = self.val.copy()
-        new_val[upd_dst[unfrozen]] = upd_lab[unfrozen]
+        new_val[upd_dst] = upd_lab
         changed = int((new_val != self.val).sum())
         self.val = new_val
         return changed
@@ -2039,115 +1804,60 @@ class CsrShard:
 
     def init_pr_dynamic(self, alpha: float, tol: float) -> None:
         """GraphX ``pageRank(tol)`` Pregel state after the initial message:
-        rank = α, Δ = α, every vertex active (assuming α > tol)."""
+        rank = α, Δ = α, every vertex active (assuming α > tol).
+        ``pr_msg`` is Δ masked to the active vertices — what they send, and
+        what the hub broadcast ships."""
         self.val = np.full(self.n, alpha, np.float64)
-        self.pr_delta = np.full(self.n, alpha, np.float64)
-        self.pr_active = self.pr_delta > tol
-        self.hub_delta_vals: np.ndarray | None = None
-
-    def hub_deltas(self) -> tuple[np.ndarray, np.ndarray]:
-        """(owned hub vids, Δ masked to active) for the per-superstep hub
-        broadcast of the dynamic variant."""
-        mask = np.isin(self.owned, self.hubs) if len(self.hubs) else np.zeros(self.n, bool)
-        return self.owned[mask], np.where(self.pr_active, self.pr_delta, 0.0)[mask]
-
-    def set_hub_deltas(self, vals: np.ndarray) -> None:
-        self.hub_delta_vals = np.asarray(vals)
+        self.pr_active = np.full(self.n, alpha, np.float64) > tol
+        self.pr_msg = np.where(self.pr_active, alpha, 0.0)
 
     def scatter_pr_delta(self) -> list:
         """Dynamic-PR scatter: only ACTIVE sources send, message =
         Δ(src)·w/outdeg(src). Inactive edges contribute exactly 0, which
         receivers use to distinguish 'no message' (Δ > tol > 0 and w ≥ 1 ⇒
         every real message is strictly positive)."""
-        contrib = np.where(self.pr_active, self.pr_delta, 0.0) / np.maximum(self.outdeg, 1.0)
-        ev = np.zeros(self.m, np.float64)
-        ev[self.own_pos] = contrib[self.src_local] * self.w[self.own_pos]
+        contrib = self.pr_msg / np.maximum(self.outdeg, 1.0)
+        hub_contrib = None
         if len(self.hub_pos):
-            hub_contrib = self.hub_delta_vals / np.maximum(self.hub_outdeg, 1.0)
-            ev[self.hub_pos] = hub_contrib[self.hub_src_idx] * self.w[self.hub_pos]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(np.add.reduceat(ev[s:e], rs) if e > s else np.empty(0, np.float64))
-        return out
+            hub_contrib = self.hub_pr_msg / np.maximum(self.hub_outdeg, 1.0)
+        return self._by_dst(self._src_vals(contrib, hub_contrib) * self.w, np.add)
 
     def gather_pr_delta(self, sender_refs: list, j: int, alpha: float, tol: float) -> int:
         """r += (1−α)·m for receivers; Δ = (1−α)·m; active = received ∧
         Δ > tol (Pregel halt semantics: no message ⇒ no vprog ⇒ inactive).
         Returns the number of active vertices for termination."""
-        acc = np.zeros(self.n, np.float64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
+        acc = self._combine(self._my_parts(sender_refs, j), "sum")
         got = acc > 0.0
-        inc = (1.0 - alpha) * acc
-        self.val = self.val + np.where(got, inc, 0.0)
-        self.pr_delta = np.where(got, inc, 0.0)
-        self.pr_active = got & (self.pr_delta > tol)
+        delta = np.where(got, (1.0 - alpha) * acc, 0.0)
+        self.val = self.val + delta
+        self.pr_active = got & (delta > tol)
+        self.pr_msg = np.where(self.pr_active, delta, 0.0)
         return int(self.pr_active.sum())
 
     # -------------------------------------------- personalized PageRank (G1p)
+    # Single source: r⁰ = 1[v = s]. Parallel (GraphX
+    # ``staticParallelPersonalizedPageRank``): K sources in one pass, rank
+    # state = (n, K) matrix, messages = (uniq_dst, K) blocks, semantics
+    # pinned to match ``personalized_pagerank`` per source. Both gather
+    # through ``gather_sum`` with the source reset.
 
     def init_ppr(self, source: int) -> None:
         """r⁰ = 1 at the source, 0 elsewhere."""
         self.val = (self.owned == source).astype(np.float64)
-
-    def gather_sum_reset(self, sender_refs: list, j: int, alpha: float, source: int) -> tuple[float, float]:
-        """Personalized gather: reset mass α lands ONLY on the source —
-        r' = α·1[v=s] + (1−α)·Σ msgs."""
-        acc = np.zeros(self.n, np.float64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
-        new = np.where(self.owned == source, alpha, 0.0) + (1.0 - alpha) * acc
-        delta = float(np.abs(new - self.val).sum()) if self.val is not None else float("inf")
-        self.val = new
-        return delta, float(new.sum())
-
-    # ------------------------------------- parallel personalized PageRank
-    # (GraphX ``staticParallelPersonalizedPageRank`` surface: K sources in
-    # one pass, rank state = (n, K) matrix, messages = (uniq_dst, K) blocks.
-    # Semantics pinned to match ``personalized_pagerank`` per source.)
 
     def init_ppr_multi(self, sources: list) -> None:
         """r⁰[:, k] = 1 at sources[k], 0 elsewhere — a (n, K) matrix."""
         srcs = np.asarray(sources, dtype=np.int64)
         self.val = (self.owned[:, None] == srcs[None, :]).astype(np.float64)
 
-    def _edge_vals_pr_multi(self) -> np.ndarray:
-        """(m, K) per-edge contributions w · r(src, ·)/outdeg(src)."""
-        K = self.val.shape[1]
-        ev = np.empty((self.m, K), np.float64)
-        contrib = self.val / np.maximum(self.outdeg, 1.0)[:, None]
-        ev[self.own_pos] = contrib[self.src_local] * self.w[self.own_pos, None]
-        if len(self.hub_pos):
-            hub_contrib = np.asarray(self.hub_vals) / np.maximum(self.hub_outdeg, 1.0)[:, None]
-            ev[self.hub_pos] = hub_contrib[self.hub_src_idx] * self.w[self.hub_pos, None]
-        return ev
-
     def scatter_sum_multi(self) -> list:
-        ev = self._edge_vals_pr_multi()
-        K = ev.shape[1]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(
-                np.add.reduceat(ev[s:e], rs, axis=0) if e > s else np.empty((0, K), np.float64)
-            )
-        return out
-
-    def gather_sum_reset_multi(self, sender_refs: list, j: int, alpha: float, sources: list) -> float:
-        srcs = np.asarray(sources, dtype=np.int64)
-        acc = np.zeros((self.n, len(srcs)), np.float64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                acc[self.ghost_locals[i]] += vals
-        new = alpha * (self.owned[:, None] == srcs[None, :]) + (1.0 - alpha) * acc
-        delta = float(np.abs(new - self.val).sum())
-        self.val = new
-        return delta
+        """(m, K) per-edge contributions w · r(src, ·)/outdeg(src), summed
+        per unique destination."""
+        contrib = self.val / np.maximum(self.outdeg, 1.0)[:, None]
+        hub_contrib = None
+        if len(self.hub_pos):
+            hub_contrib = np.asarray(self.hub_val) / np.maximum(self.hub_outdeg, 1.0)[:, None]
+        return self._by_dst(self._src_vals(contrib, hub_contrib) * self.w[:, None], np.add)
 
     def ppr_multi_table(self, sources: list) -> pa.Table:
         cols: dict = {"vid": pa.array(self.owned, type=pa.int64())}
@@ -2172,92 +1882,22 @@ class CsrShard:
             vals = np.asarray(vprog(vals, msg, np.ones(self.n, bool)))
         self.val = vals
         self.pregel_changed = np.ones(self.n, bool)
-        self._pregel_prepare()
-
-    def _pregel_prepare(self) -> None:
-        """Static per-edge source out-degrees for send_msg's third arg —
-        built on init AND on checkpoint resume (an actor restart reloads
-        CSR from Parquet but pregel state from the checkpoint)."""
-        self.hub_changed: np.ndarray | None = None
-        od = np.empty(self.m, np.float64)
-        od[self.own_pos] = self.outdeg[self.src_local]
-        if len(self.hub_pos):
-            od[self.hub_pos] = np.asarray(self.hub_outdeg)[self.hub_src_idx]
-        self._pregel_edge_outdeg = od
-
-    def write_pregel_state(self, path: str) -> int:
-        """Atomic (vid, value, changed) dump — the changed mask is part of
-        the superstep state (it decides who sends next round), so resume
-        must restore it bit-identically alongside the values."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        t = pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "value": pa.array(self.val),
-                "changed": pa.array(self.pregel_changed),
-            }
-        )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return self.n
-
-    def load_pregel_state(self, path: str) -> None:
-        t = pq.read_table(path)
-        if not np.array_equal(t["vid"].to_numpy(), self.owned):
-            raise ValueError(f"pregel checkpoint part mismatch at {path}")
-        self.val = t["value"].to_numpy().copy()
-        self.pregel_changed = t["changed"].to_numpy().copy()
-        self._pregel_prepare()
-
-    def pregel_hub_state(self):
-        """(owned hub vids, values, changed flags) for the hub broadcast."""
-        mask = np.isin(self.owned, self.hubs) if len(self.hubs) else np.zeros(self.n, bool)
-        return self.owned[mask], self.val[mask], self.pregel_changed[mask]
-
-    def set_pregel_hub_state(self, vals: np.ndarray, changed: np.ndarray) -> None:
-        self.hub_vals = np.asarray(vals)
-        self.hub_changed = np.asarray(changed)
-
-    @staticmethod
-    def _merge_identity(dtype: np.dtype, merge: str):
-        if merge == "sum":
-            return dtype.type(0)
-        if np.issubdtype(dtype, np.integer):
-            info = np.iinfo(dtype)
-            return dtype.type(info.max if merge == "min" else info.min)
-        return dtype.type(np.inf if merge == "min" else -np.inf)
 
     def scatter_pregel(self, send_msg, merge: str, halt: str) -> list:
         """Per dst-part (merged partials, got flags). ``send_msg(src_vals,
         w, outdeg_src)`` is vectorized over this shard's edge slice;
         inactive edges (halt="changed") contribute the merge identity and
         are excluded from the got flags."""
-        src_val = np.empty(self.m, self.val.dtype)
-        src_val[self.own_pos] = self.val[self.src_local]
-        if len(self.hub_pos):
-            src_val[self.hub_pos] = np.asarray(self.hub_vals)[self.hub_src_idx]
-        ev = np.asarray(send_msg(src_val, self.w, self._pregel_edge_outdeg))
+        if not hasattr(self, "_edge_outdeg"):
+            # static per-edge source out-degree for send_msg's third arg
+            self._edge_outdeg = self._src_vals(self.outdeg, self.hub_outdeg)
+        src_val = self._src_vals(self.val, self.hub_val)
+        ev = np.asarray(send_msg(src_val, self.w, self._edge_outdeg))
+        act = np.ones(self.m, bool)
         if halt == "changed":
-            act = np.empty(self.m, bool)
-            act[self.own_pos] = self.pregel_changed[self.src_local]
-            if len(self.hub_pos):
-                act[self.hub_pos] = np.asarray(self.hub_changed)[self.hub_src_idx]
+            act = self._src_vals(self.pregel_changed, getattr(self, "hub_pregel_changed", None))
             ev = np.where(act, ev, self._merge_identity(ev.dtype, merge))
-        else:
-            act = np.ones(self.m, bool)
-        ufunc = self._UFUNCS[merge]
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            if e == s:
-                out.append((ev[:0], np.empty(0, bool)))
-                continue
-            partial = ufunc.reduceat(ev[s:e], rs)
-            gotf = np.maximum.reduceat(act[s:e].astype(np.uint8), rs).astype(bool)
-            out.append((partial, gotf))
-        return out
+        return list(zip(self._by_dst(ev, self._UFUNCS[merge]), self._by_dst(act, np.maximum)))
 
     def gather_pregel(self, sender_refs: list, j: int, vprog, merge: str, halt: str) -> int:
         """Combine partials, run ``vprog(old, msg, got)`` vectorized.
@@ -2265,19 +1905,9 @@ class CsrShard:
         runs on receivers). halt="all": synchronous full update — commit
         every vertex (static-algorithm mode; msg holds the merge identity
         where nothing arrived). Returns how many values changed."""
-        ufunc = self._UFUNCS[merge]
-        acc = None
-        got = np.zeros(self.n, bool)
-        for i, (vals, gf) in enumerate(self._my_parts(sender_refs, j)):
-            if not len(vals):
-                continue
-            loc = self.ghost_locals[i]
-            if acc is None:
-                acc = np.full(self.n, self._merge_identity(vals.dtype, merge), dtype=vals.dtype)
-            acc[loc] = ufunc(acc[loc], vals)
-            got[loc] |= gf
-        if acc is None:
-            acc = np.full(self.n, self._merge_identity(self.val.dtype, merge), dtype=self.val.dtype)
+        parts = self._my_parts(sender_refs, j)
+        acc = self._combine([p[0] for p in parts], merge, self.val.dtype)
+        got = self._combine([p[1] for p in parts], "max")
         res = np.asarray(vprog(self.val, acc, got))
         new = np.where(got, res, self.val) if halt == "changed" else res
         changed = new != self.val
@@ -2303,23 +1933,18 @@ class CsrShard:
             dj = d[s:e]
             sj = self.src[s:e]
             order = np.lexsort((sj, dj, uidx))
-            uo, do, so = uidx[order], dj[order], sj[order]
-            first = np.empty(e - s, bool)
-            first[0] = True
-            np.not_equal(uo[1:], uo[:-1], out=first[1:])
-            out.append((do[first], so[first]))
+            first = order[_runs(uidx[order])]
+            out.append((dj[first], sj[first]))
         return out
 
     def gather_parent(self, sender_refs: list, j: int) -> None:
         """parent(v) = min src whose (dist+1) equals dist(v); source and
         unreachable vertices get -1. Stored in ``self.parent``."""
-        best = np.full(self.n, INF64)
-        for i, (dd, ss) in enumerate(self._my_parts(sender_refs, j)):
-            if len(dd):
-                loc = self.ghost_locals[i]
-                hit = dd == self.val[loc]
-                l2 = loc[hit]
-                best[l2] = np.minimum(best[l2], ss[hit])
+        best = self._combine(
+            [np.where(dd == self.val[self.ghost_locals[i]], ss, INF64)
+             for i, (dd, ss) in enumerate(self._my_parts(sender_refs, j))],
+            "min",
+        )
         # -1 for: no qualifying sender, the source itself (dist 0), and
         # unreachable vertices (dist ∞ — INF senders "match" INF trivially)
         none = (best == INF64) | (self.val == 0) | (self.val == INF64)
@@ -2352,11 +1977,7 @@ class CsrShard:
 
     def gather_min_unassigned(self, sender_refs: list, j: int) -> int:
         """Hash-min gather that never updates assigned vertices."""
-        cand = np.full(self.n, INF64)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                loc = self.ghost_locals[i]
-                cand[loc] = np.minimum(cand[loc], vals)
+        cand = self._combine(self._my_parts(sender_refs, j), "min")
         unassigned = self.scc_label == INF64
         new = np.where(unassigned, np.minimum(self.val, cand), self.val)
         changed = int((new != self.val).sum())
@@ -2404,12 +2025,8 @@ class CsrShard:
         scatter_min after scc_reset_colors; INF = assigned/no sender).
         On the forward pool this marks has-unassigned-IN-neighbor; on the
         reversed pool, has-unassigned-OUT-neighbor."""
-        has = np.zeros(self.n, bool)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if len(vals):
-                loc = self.ghost_locals[i]
-                has[loc] |= vals != INF64
-        self.trim_has = has
+        # some message is below INF ⇔ their min is
+        self.trim_has = self._combine(self._my_parts(sender_refs, j), "min") != INF64
 
     def get_trim_has(self) -> np.ndarray:
         return self.trim_has
@@ -2438,17 +2055,7 @@ class CsrShard:
         labels = ray.get(labels_ref) if not isinstance(labels_ref, np.ndarray) else labels_ref
         self.scc_label = np.asarray(labels).copy()
 
-    def scc_result(self) -> pa.Table:
-        return pa.table(
-            {
-                "vid": pa.array(self.owned, type=pa.int64()),
-                "component": pa.array(self.scc_label, type=pa.int64()),
-            }
-        )
-
     # ------------------------------------------------------ user aggregation
-
-    _UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
     def set_values_from(self, vids: np.ndarray, vals: np.ndarray) -> None:
         """Adopt user vertex values (vids sorted; picks the owned slice)."""
@@ -2488,52 +2095,21 @@ class CsrShard:
             cols[f"dist_{lm}"] = pa.array(self._dist_cols[int(lm)], type=pa.int64())
         return pa.table(cols)
 
-    def write_dist_table(self, path: str, landmarks: list[int]) -> int:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(self.dist_table(landmarks), tmp)
-        os.replace(tmp, path)
-        return self.n
-
     def scatter_user(self, edge_msg, agg: str) -> list:
         """One generic scatter: ``edge_msg(src_val, w) -> msg`` per edge,
         pre-aggregated per destination with the ``agg`` ufunc (G7)."""
-        ufunc = self._UFUNCS[agg]
-        src_val = np.empty(self.m, self.val.dtype)
-        src_val[self.own_pos] = self.val[self.src_local]
-        if len(self.hub_pos):
-            src_val[self.hub_pos] = self.hub_vals[self.hub_src_idx]
-        ev = np.asarray(edge_msg(src_val, self.w))
-        out = []
-        for j in range(self.P):
-            s, e = self.seg[j]
-            rs = self.run_starts[j]
-            out.append(ufunc.reduceat(ev[s:e], rs) if e > s else ev[:0])
-        return out
+        ev = np.asarray(edge_msg(self._src_vals(self.val, self.hub_val), self.w))
+        return self._by_dst(ev, self._UFUNCS[agg])
 
     def gather_user(self, sender_refs: list, j: int, agg: str) -> pa.Table:
         """Combine partials; return (vid, agg_value) for vertices that
         received ≥1 message (GraphFrames aggregateMessages semantics)."""
-        ufunc = self._UFUNCS[agg]
-        acc = None
-        got = np.zeros(self.n, bool)
-        for i, vals in enumerate(self._my_parts(sender_refs, j)):
-            if not len(vals):
-                continue
-            loc = self.ghost_locals[i]
-            if acc is None:
-                if agg == "sum":
-                    acc = np.zeros(self.n, dtype=vals.dtype)
-                elif np.issubdtype(vals.dtype, np.integer):
-                    ident = np.iinfo(vals.dtype).max if agg == "min" else np.iinfo(vals.dtype).min
-                    acc = np.full(self.n, ident, dtype=vals.dtype)
-                else:
-                    acc = np.full(self.n, np.inf if agg == "min" else -np.inf, dtype=vals.dtype)
-            acc[loc] = ufunc(acc[loc], vals)
-            got[loc] = True
-        if acc is None:
+        parts = self._my_parts(sender_refs, j)
+        if not any(len(v) for v in parts):
             return pa.table({"vid": pa.array([], pa.int64()),
                              "agg_value": pa.array([], pa.float64())})
+        acc = self._combine(parts, agg)
+        got = self._combine([np.ones(len(v), bool) for v in parts], "max")
         return pa.table(
             {"vid": pa.array(self.owned[got]), "agg_value": pa.array(acc[got])}
         )
@@ -2568,21 +2144,13 @@ class CsrShard:
         via the precomputed unique-dst runs, reduce H per owned source,
         commit. Returns how many c values changed."""
         resolved = ray.get(list(owner_refs))
-        nc = np.empty(self.m, np.int64)
-        for j in range(self.P):
-            s, e = self.seg[j]
-            if e > s:
-                vals = resolved[j][self.part]
-                nc[s:e] = vals[self.edge_uniq_idx[s:e]]
+        nc = self._per_edge([r[self.part] for r in resolved], np.int64)
         if self.m == 0:
             return 0
         order = np.lexsort((-nc, self.src))
         vi = self.src[order]
         nci = nc[order]
-        new = np.empty(self.m, bool)
-        new[0] = True
-        np.not_equal(vi[1:], vi[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
+        starts = _runs(vi)
         lens = np.diff(np.append(starts, self.m))
         rank = np.arange(self.m) - np.repeat(starts, lens) + 1
         h = np.maximum.reduceat(np.minimum(rank, nci), starts)
@@ -2593,68 +2161,26 @@ class CsrShard:
         self.cval = newc
         return changed
 
-    def hindex_table(self) -> pa.Table:
-        return pa.table(
-            {"vid": pa.array(self.owned, type=pa.int64()),
-             "core": pa.array(self.cval, type=pa.int64())}
-        )
+    # ------------------------------------------------ checkpoints and results
 
-    def hindex_write(self, path: str) -> int:
-        """Atomic per-part c-vector dump (the S3 checkpoint discipline);
-        int64 state ⇒ bit-identical resume for free."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(self.hindex_table(), tmp)
-        os.replace(tmp, path)
-        return self.n
+    def state_table(self, cols: dict) -> pa.Table:
+        """(vid, <column> ...) with each column taken from the shard
+        attribute ``cols`` maps it to — a checkpoint part or a result
+        part."""
+        t = {"vid": pa.array(self.owned, type=pa.int64())}
+        for col, attr in cols.items():
+            t[col] = pa.array(getattr(self, attr))
+        return pa.table(t)
 
-    def hindex_load(self, path: str) -> None:
+    def load_state(self, path: str, cols: dict) -> None:
+        """Restore the attributes ``cols`` names from a ``state_table``
+        checkpoint part; a restored vector ends any seeded-LPA run."""
         t = pq.read_table(path)
         if not np.array_equal(t["vid"].to_numpy(), self.owned):
-            raise ValueError(f"coreness checkpoint part mismatch at {path}")
-        self.cval = t["core"].to_numpy().copy()
-
-    # ------------------------------------------------------------- checkpoint
-
-    def write_vector(self, path: str, colname: str) -> int:
-        """Atomic per-part vector dump (tmp + rename)."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        t = pa.table(
-            {"vid": pa.array(self.owned, type=pa.int64()), colname: pa.array(self.val)}
-        )
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return self.n
-
-    def load_vector(self, path: str, colname: str) -> None:
-        t = pq.read_table(path)
-        vid = t["vid"].to_numpy()
-        if not np.array_equal(vid, self.owned):
             raise ValueError(f"checkpoint part mismatch at {path}")
-        self.val = t[colname].to_numpy().copy()
-
-    def write_hits_vectors(self, path: str) -> int:
-        """Atomic dump of BOTH hits vectors (hub = self.val, auth =
-        self.val_a) — the two-vector variant of ``write_vector``."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(self.result_table_hits(), tmp)
-        os.replace(tmp, path)
-        return self.n
-
-    def load_hits_vectors(self, path: str) -> None:
-        t = pq.read_table(path)
-        vid = t["vid"].to_numpy()
-        if not np.array_equal(vid, self.owned):
-            raise ValueError(f"checkpoint part mismatch at {path}")
-        self.val = t["hub"].to_numpy().copy()
-        self.val_a = t["auth"].to_numpy().copy()
-
-    def result_table(self, colname: str) -> pa.Table:
-        return pa.table(
-            {"vid": pa.array(self.owned, type=pa.int64()), colname: pa.array(self.val)}
-        )
+        for col, attr in cols.items():
+            setattr(self, attr, t[col].to_numpy().copy())
+        self.lpa_frozen = None
 
     def gather_user_store(self, sender_refs: list, j: int, agg: str) -> int:
         """``gather_user`` with the result PARKED in the actor (fetched by
@@ -2670,18 +2196,15 @@ class CsrShard:
         self, path: str, method: str, args: list | None = None,
         rename: list | None = None,
     ) -> int:
-        """Atomic per-part parquet dump of any result-table method — the
-        collection primitive behind every algorithm's Dataset-default
-        return (VERDICT r3 #2: the per-part-parquet → read_parquet path is
-        the default; O(V) driver concat is the opt-in)."""
+        """Atomic per-part parquet dump of any table method — every
+        checkpoint part, and the collection primitive behind every
+        algorithm's Dataset-default return (VERDICT r3 #2: the
+        per-part-parquet → read_parquet path is the default; O(V) driver
+        concat is the opt-in)."""
         t = getattr(self, method)(*(args or []))
         if rename:
             t = t.rename_columns(rename)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
-        return t.num_rows
+        return _write_parquet(t, path)
 
     def stats(self) -> dict:
         return {

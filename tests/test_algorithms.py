@@ -99,27 +99,53 @@ def test_pagerank_tol_early_stop():
     np.testing.assert_allclose(got["rank"], 1.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", ["two_cliques_bridge", "star_hub"])
-def test_per_dest_scatter_route_bit_identical(name):
-    """scatter_route='per_dest' (multi-node routing: one object per
-    destination, num_returns=P) must produce BIT-identical results to the
-    packed single-node default — same partials, same merge order."""
+def _route_run(name, route, salt) -> dict:
     edges, verts = FIX[name]
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
-    res = {}
-    for route in ("packed", "per_dest"):
-        g = Graph(edges, vdf, num_parts=3, scatter_route=route)
-        try:
-            res[route] = {
-                "pr": ranks_df(g.pagerank(max_iter=8)),
-                "cc": ranks_df(g.connected_components()),
-                "lpa": ranks_df(g.label_propagation(max_iter=4)),
-                "bfs": g.bfs(int(verts.min())).to_pandas().sort_values("vid").reset_index(drop=True),
-            }
-        finally:
-            g.close()
+    lo, hi = int(verts.min()), int(verts.max())
+    g = Graph(edges, vdf, num_parts=3, scatter_route=route, salt_threshold=salt)
+    try:
+        return {
+            "pr": ranks_df(g.pagerank(max_iter=8)),
+            "cc": ranks_df(g.connected_components()),
+            "lpa": ranks_df(g.label_propagation(max_iter=4)),
+            "bfs": g.bfs(lo).to_pandas().sort_values("vid").reset_index(drop=True),
+            "lpa_seeded": ranks_df(g.label_propagation_seeded([lo, hi], [0, 1], max_iter=4)),
+            "ppr": ranks_df(g.personalized_pagerank(lo, max_iter=8)),
+            "sp": ranks_df(g.shortest_paths([lo, hi])),
+            "sssp": ranks_df(g.sssp_weighted(lo)),
+        }
+    finally:
+        g.close()
+
+
+# salt_threshold=50 splits star_hub's hub (out-degree 200); the salted runs
+# also dispatch one superstep per window, the unsalted ones up to four
+@pytest.mark.parametrize(
+    "name,salt",
+    [("two_cliques_bridge", None), ("star_hub", None),
+     ("two_cliques_bridge", 50), ("star_hub", 50)],
+    ids=["two_cliques_bridge", "star_hub", "two_cliques_bridge-salted", "star_hub-salted"],
+)
+def test_per_dest_scatter_route_bit_identical(name, salt):
+    """scatter_route='per_dest' (multi-node routing: one object per
+    destination, num_returns=P) must produce BIT-identical results to the
+    packed single-node default — same partials, same merge order. Salted
+    hubs change nothing either: label and distance results stay exact,
+    ranks stay within the oracle tolerance."""
+    res = {route: _route_run(name, route, salt) for route in ("packed", "per_dest")}
     for k in res["packed"]:
         pd.testing.assert_frame_equal(res["packed"][k], res["per_dest"][k])
+    if salt is None:
+        return
+    plain = _route_run(name, "packed", None)
+    for k, want in plain.items():
+        got = res["packed"][k]
+        if k in ("pr", "ppr"):
+            assert np.array_equal(got["vid"], want["vid"])
+            np.testing.assert_allclose(got["rank"], want["rank"], rtol=1e-6, atol=1e-6)
+        else:
+            pd.testing.assert_frame_equal(got, want)
 
 
 def test_per_dest_route_scc_trim_identical():

@@ -377,6 +377,17 @@ def test_kcenter_all_equal_yields_distinct_ids(ray_session):
     assert (got["d2"].to_numpy()[1:] == 0).all()
 
 
+def test_kcenter_empty_corpus_returns_empty_table(ray_session):
+    from graphx_ray.functions.similarity import KCENTER_SCHEMA, kcenter_select
+
+    ds = rd.from_pandas(pd.DataFrame(
+        {"vec_id": np.arange(3, dtype=np.int64), "embedding": [np.ones(4)] * 3}
+    )).filter(lambda r: r["vec_id"] < 0)
+    got = kcenter_select(ds, k=3)
+    assert got.num_rows == 0
+    assert got.schema.equals(KCENTER_SCHEMA)
+
+
 def test_recall_at_k_exact_and_planted(ray_session):
     from graphx_ray.functions.similarity import recall_at_k
 
