@@ -7850,8 +7850,8 @@ def oracle_sql() -> dict[str, str]:
     curation = f"""
     WITH {curation_gate_ctes},
     jwords AS (
-        SELECT doc_id, string_split_regex(TRIM(lower(text)), '\s+') AS ws FROM udocs
-        WHERE len(string_split_regex(TRIM(lower(text)), '\s+')) >= 3
+        SELECT doc_id, string_split_regex(TRIM(lower(text)), '\\s+') AS ws FROM udocs
+        WHERE len(string_split_regex(TRIM(lower(text)), '\\s+')) >= 3
     ),
     sh AS (
         SELECT DISTINCT doc_id, ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2] AS s

@@ -232,12 +232,13 @@ ENCODE_SCHEMA = pa.schema(
 
 
 class BpeEncoder:
-    """Actor-pool stage: apply a trained merge table corpus-wide (the
-    round-4 verdict's missing piece — the stage a training-data pipeline
-    actually runs at 100 TB). The merge-rank dict is built ONCE per actor
-    in ``__init__``; ``__call__`` encodes only the batch's DISTINCT
-    uncached words (the corpus is Zipfian, so the per-actor word cache
-    absorbs almost every occurrence) and reduces to per-doc token counts.
+    """Encoding stage, run as tasks: apply a trained merge table
+    corpus-wide (the stage a training-data pipeline actually runs at
+    100 TB). The merge list is built ONCE, in ``__init__`` on the driver,
+    and ships inside the instance; ``__call__`` encodes only the batch's
+    DISTINCT uncached words (the corpus is Zipfian, so the word cache,
+    which lives for one task's batches, absorbs most occurrences) and
+    reduces to per-doc token counts.
 
     Encode semantics (pinned): words are the lowercased whitespace tokens
     (exactly ``word_counts``' tokenization); a word starts as its
@@ -326,19 +327,17 @@ def bpe_encode(
     batch_size: int = 1024,
 ) -> Dataset:
     """Corpus tokenization with a trained BPE merge table → one row per
-    doc: (doc_id, n_tok[, tokens]). Zero shuffle — a pure actor-pool
-    ``map_batches`` pass (model in ``__init__``, Zipf word cache per
-    actor); the token-count output is the drop-in ``counts=`` source for
+    doc: (doc_id, n_tok[, tokens]). Zero shuffle — one task
+    ``map_batches`` pass (``concurrency`` caps its concurrent tasks); the
+    token-count output is the drop-in ``counts=`` source for
     ``packing.pack_sequences``."""
     docs = _as_ds(docs)
     return docs.map_batches(
-        BpeEncoder,
-        fn_constructor_args=(merges, text_col, id_col, emit_tokens),
+        BpeEncoder(merges, text_col, id_col, emit_tokens),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=batch_size,
-        num_cpus=0.5,
     )
 
 

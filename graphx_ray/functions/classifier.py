@@ -49,8 +49,10 @@ def seeded_weights(dim: int, seed: int) -> np.ndarray:
 
 
 class HashLinearClassifier:
-    """Actor-pool stage: weight LUT built once per actor; __call__ scores
-    one Arrow batch vectorized (explode → FNV hash → gather → bincount)."""
+    """Scoring stage, run as tasks: the weight LUT is built once, in
+    ``__init__`` on the driver, and ships inside the instance; __call__
+    scores one Arrow batch vectorized (explode → FNV hash → gather →
+    bincount)."""
 
     def __init__(
         self,
@@ -114,15 +116,14 @@ def classify(
     weights: np.ndarray | None = None,
     concurrency: int = 4,
 ) -> Dataset:
-    """(doc_id, score, n_tokens, keep) per document."""
+    """(doc_id, score, n_tokens, keep) per document; ``concurrency`` caps
+    the number of concurrent tasks."""
     return docs.map_batches(
-        HashLinearClassifier,
-        fn_constructor_kwargs=dict(
+        HashLinearClassifier(
             dim=dim, seed=seed, threshold=threshold,
             text_col=text_col, id_col=id_col, weights=weights,
         ),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
-        num_cpus=0.5,
     )

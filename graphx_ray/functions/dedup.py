@@ -223,7 +223,7 @@ def _minhash_sig(shingles: list[np.ndarray], num_perm: int, seed: int = 7) -> np
 
 
 class MinHasher:
-    """Actor-pool stage: doc → (band_id, band_hash) rows for LSH bucketing."""
+    """doc → (band_id, band_hash) rows for LSH bucketing."""
 
     def __init__(self, num_perm: int = 64, bands: int = 16, k: int = 3,
                  id_col: str = "doc_id", text_col: str = "text"):
@@ -278,19 +278,15 @@ def minhash_lsh_pairs(
     clustering recovers the full duplicate cluster through transitivity,
     so recall is preserved for the flood case the cap exists for (a
     near-dup of every member is a near-dup of the center). Groups at or
-    under the cap keep exact all-pairs enumeration."""
+    under the cap keep exact all-pairs enumeration. ``concurrency`` caps
+    the concurrent MinHash tasks and sets the shuffle width."""
     ensure_hash_shuffle(docs)
     bucketed = docs.map_batches(
-        MinHasher,
-        fn_constructor_kwargs={
-            "num_perm": num_perm, "bands": bands, "k": k,
-            "id_col": id_col, "text_col": text_col,
-        },
+        MinHasher(num_perm, bands, k, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=2048,
-        num_cpus=0.5,  # fractional: a full-CPU pool can starve the upstream read tasks (deadlock on small nodes)
     )
 
     def pairs_of_group(batch: pa.Table) -> pa.Table:
@@ -1153,14 +1149,14 @@ class SimHasher:
 
 def simhash_signatures(docs: Dataset, *, bands: int = 4, concurrency: int = 4,
                        id_col: str = "doc_id", text_col: str = "text") -> Dataset:
+    """``SimHasher`` rows per document; ``concurrency`` caps the number of
+    concurrent tasks."""
     return docs.map_batches(
-        SimHasher,
-        fn_constructor_kwargs={"bands": bands, "id_col": id_col, "text_col": text_col},
+        SimHasher(bands, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=2048,
-        num_cpus=0.5,  # fractional: a full-CPU pool can starve the upstream read tasks (deadlock on small nodes)
     )
 
 
@@ -1616,25 +1612,36 @@ def duplicated_lines(
     return agg.filter(expr=f"n >= {min_count}")
 
 
+_HOT_SLOT: list = [None, None]  # (ObjectRef hex, hash set): one per process
+
+
 class _LineCleaner:
-    """Actor-pool cleanse stage: the duplicate-line set is fetched from the
-    object store and hash-indexed ONCE per actor (setup in ``__init__``,
-    per-batch work vectorized pandas)."""
+    """Cleanse stage, run as tasks. The duplicate-line set arrives as an
+    ObjectRef and is fetched and hash-indexed once per worker process: a
+    one-slot cache keyed by the ref, so the set never ships inside a task
+    and another call's set replaces it instead of mixing with it. Per-batch
+    work is vectorized pandas."""
 
     def __init__(self, hot_ref, id_col: str, text_col: str, sep: str):
-        import ray
-
-        self.hot = set(ray.get(hot_ref).tolist())
+        self.hot_ref = hot_ref
         self.id_col = id_col
         self.text_col = text_col
         self.sep = sep
+
+    def _hot(self) -> set:
+        import ray
+
+        key = self.hot_ref.hex()
+        if _HOT_SLOT[0] != key:
+            _HOT_SLOT[:] = [key, set(ray.get(self.hot_ref).tolist())]
+        return _HOT_SLOT[1]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         s = batch[self.text_col].to_pandas().fillna("")
         split = s.str.split(self.sep)
         n_lines = np.asarray(split.str.len().fillna(0), np.int64)
         ex = split.explode()
-        keep = ~ex.isin(self.hot)
+        keep = ~ex.isin(self._hot())
         kept = ex[keep]
         joined = kept.groupby(level=0).agg(self.sep.join)
         n_kept = keep.groupby(level=0).sum()
@@ -1665,9 +1672,10 @@ def remove_duplicated_lines(
     Returns (id, text_clean, n_lines, n_kept) for every input document.
 
     Two passes: (1) corpus segment counts via keyed storage reduce,
-    (2) one streaming cleanse with the duplicate-segment set broadcast
-    once per actor. The broadcast is duplicate-set-sized, NOT corpus-sized;
-    past ``broadcast_limit`` distinct hot segments the cleanse reroutes
+    (2) one streaming cleanse, run as tasks, with the duplicate-segment
+    set broadcast once per worker process. The broadcast is
+    duplicate-set-sized, NOT corpus-sized; past ``broadcast_limit``
+    distinct hot segments the cleanse reroutes
     through the explode → bucketed left-join → per-doc reassembly storage
     path (the same contract enforcement as ``derive.semi_join``)."""
     import ray
@@ -1684,14 +1692,11 @@ def remove_duplicated_lines(
             docs, hot, id_col=id_col, text_col=text_col, sep=sep,
             num_partitions=num_partitions,
         )
-    href = ray.put(hotset)
     return docs.map_batches(
-        _LineCleaner,
-        fn_constructor_args=(href, id_col, text_col, sep),
+        _LineCleaner(ray.put(hotset), id_col, text_col, sep),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
-        num_cpus=0.5,
     )
 
 

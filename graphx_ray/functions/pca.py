@@ -24,8 +24,8 @@ oracle contract):
 The driver holds only the d×d+d model — nothing corpus-sized. Gram
 partials stay exact while 127²·n < 2⁶³ (n ≲ 5.7·10¹⁴ rows). At 100 TB
 the streaming pass is the only corpus-wide work: one read + one tiny
-keyed reduce; the projection pass is embarrassingly parallel with the
-(d+1)-vector model broadcast once via ``ray.put``.
+keyed reduce; the projection pass is embarrassingly parallel, with the
+two d-vectors of the model shipped inside each task.
 """
 
 from __future__ import annotations
@@ -130,12 +130,13 @@ def pca_model(
 
 
 class PcaProjector:
-    """Actor-pool stage: quantize the batch with the broadcast scale and
-    emit the exact-int64 dot with the broadcast component."""
+    """Projection stage, run as tasks: quantize the batch with the model's
+    scale and emit the exact-int64 dot with its component. The model is two
+    d-vectors, so it ships inside the instance."""
 
-    def __init__(self, scale_ref, v_ref, id_col: str, vec_col: str):
-        self.scale = ray.get(scale_ref)
-        self.v = ray.get(v_ref).astype(np.int64)
+    def __init__(self, scale: np.ndarray, v: np.ndarray, id_col: str, vec_col: str):
+        self.scale = np.asarray(scale, np.float64)
+        self.v = np.asarray(v).astype(np.int64)
         self.id_col, self.vec_col = id_col, vec_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -159,17 +160,14 @@ def pca_project(
     vec_col: str = "embedding",
     concurrency: int = 4,
 ) -> Dataset:
-    """Project every row onto the fitted component: (id_col, proj)."""
-    scale_ref = ray.put(model["scale"])
-    v_ref = ray.put(model["v"])
+    """Project every row onto the fitted component: (id_col, proj).
+    ``concurrency`` caps the number of concurrent tasks."""
     return vectors.map_batches(
-        PcaProjector,
-        fn_constructor_args=(scale_ref, v_ref, id_col, vec_col),
+        PcaProjector(model["scale"], model["v"], id_col, vec_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=4096,
-        num_cpus=0.5,
     )
 
 

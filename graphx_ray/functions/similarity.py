@@ -1066,18 +1066,20 @@ def knn_graph(
 
 
 class JlProjector:
-    """Actor-pool stage: Johnson–Lindenstrauss ±1 sign projection of the
+    """Johnson–Lindenstrauss stage, run as tasks: ±1 sign projection of the
     int8-quantized embedding — the cheap dimension-reduction pass before
-    ANN / clustering at scale. The sign matrix is drawn ONCE per actor
-    from splitmix64 bits (the ``cosine_near_dup_lsh(planes="rademacher")``
-    convention: sign(j, d) = +1 iff mix64((seed<<32) + d·out_dim + j) ≥
-    2⁶³), and every projection is an exact int64 (|proj| ≤ 127·d), so the
-    output is bit-reproducible at any parallelism and SQL-replayable."""
+    ANN / clustering at scale. The sign matrix is drawn ONCE, in
+    ``__init__`` on the driver, and ships inside the instance (d·out_dim
+    int64s), from splitmix64 bits (the
+    ``cosine_near_dup_lsh(planes="rademacher")`` convention: sign(j, d) =
+    +1 iff mix64((seed<<32) + d·out_dim + j) ≥ 2⁶³), and every projection
+    is an exact int64 (|proj| ≤ 127·d), so the output is bit-reproducible
+    at any parallelism and SQL-replayable."""
 
-    def __init__(self, scale_ref, out_dim: int, seed: int, id_col: str, vec_col: str):
+    def __init__(self, scale: np.ndarray, out_dim: int, seed: int, id_col: str, vec_col: str):
         from graphx_ray.ids import mix64
 
-        self.scale = ray.get(scale_ref)
+        self.scale = np.asarray(scale, np.float64)
         d = len(self.scale)
         idx = np.arange(d * out_dim, dtype=np.uint64)
         h = mix64((np.uint64(seed) << np.uint64(32)) + idx)
@@ -1122,20 +1124,18 @@ def jl_project(
 ) -> Dataset:
     """(id_col, j, proj) exploded JL sign projection — d → ``out_dim``
     exact-int64 features per vector. ``scale`` (127/absmax per dim)
-    defaults to one streaming pass; pass a trained vector to reuse it."""
+    defaults to one streaming pass; pass a trained vector to reuse it.
+    ``concurrency`` caps the number of concurrent tasks."""
     if scale is None:
         mx = dim_absmax(vectors, vec_col=vec_col).astype(np.float64)
         with np.errstate(divide="ignore"):
             scale = np.where(mx > 0, 127.0 / mx, 0.0)
-    scale_ref = ray.put(np.asarray(scale, dtype=np.float64))
     return vectors.map_batches(
-        JlProjector,
-        fn_constructor_args=(scale_ref, int(out_dim), int(seed), id_col, vec_col),
+        JlProjector(scale, int(out_dim), int(seed), id_col, vec_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=4096,
-        num_cpus=0.5,
     )
 
 

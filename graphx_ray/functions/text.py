@@ -1,8 +1,10 @@
 """Text-analysis stages for large-scale training-data pipelines.
 
 All stages are vectorized ``map_batches`` transforms (pandas string kernels
-/ numpy) or actor-pool classes where setup is non-trivial (compiled
-regexes, frequency tables) — setup once per actor in ``__init__``.
+/ numpy). Stages with setup (compiled regexes, language profiles) are
+callable classes built once on the driver and passed as an INSTANCE, so
+Ray Data runs them as tasks: the instance is pickled into each task and
+no actor pool is started.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ def token_counts(docs: Dataset, *, text_col: str = "text") -> Dataset:
 
 
 class QualityScorer:
-    """Actor-pool quality scoring: length / punctuation / stopword /
-    digit ratios and a composite keep-score. Regexes compiled once per actor."""
+    """Quality scoring: length / punctuation / stopword / digit ratios and
+    a composite keep-score. Regexes compiled once, in ``__init__``."""
 
     STOP = frozenset(
         "the a an and or of to in is are was were be been it this that for on with as at by".split()
@@ -94,13 +96,14 @@ class QualityScorer:
 
 
 def quality_scores(docs: Dataset, *, concurrency: int = 4) -> Dataset:
+    """``QualityScorer`` columns appended to every row; ``concurrency``
+    caps the number of concurrent tasks."""
     return docs.map_batches(
-        QualityScorer,
+        QualityScorer(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=4096,
-        num_cpus=0.5,  # fractional: a full-CPU pool can starve the upstream read tasks (deadlock on small nodes)
     )
 
 
@@ -109,7 +112,7 @@ class LangId:
 
     Profiles are tiny hand-built trigram preference lists — a deterministic,
     dependency-free stand-in with the same plumbing a fastText-style model
-    stage would use (load once per actor, vectorized scoring per batch)."""
+    stage would use (model built once, vectorized scoring per batch)."""
 
     PROFILES = {
         "en": [" th", "the", "ing", " an", "and", " of", "ion", " to", "ent", " in"],
@@ -138,13 +141,14 @@ class LangId:
 
 
 def lang_id(docs: Dataset, *, concurrency: int = 4) -> Dataset:
+    """(lang_pred, lang_conf) appended to every row; ``concurrency`` caps
+    the number of concurrent tasks."""
     return docs.map_batches(
-        LangId,
+        LangId(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=4096,
-        num_cpus=0.5,  # fractional: a full-CPU pool can starve the upstream read tasks (deadlock on small nodes)
     )
 
 
@@ -583,12 +587,12 @@ def textrank_keywords(
 
 
 class Redactor:
-    """Actor-pool PII scrub: email / URL / phone patterns replaced by
+    """PII scrub: email / URL / phone patterns replaced by
     typed placeholders, with per-document match counts. Patterns are
     RE2-compatible (no backrefs/lookaheads) so a DuckDB ``regexp_replace``
     oracle computes byte-identical output; application order is pinned
     (email → url → phone) because replacements can overlap. Regexes
-    compile once per actor."""
+    compile once, in ``__init__``."""
 
     PATTERNS = (
         ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "<EMAIL>"),
@@ -616,14 +620,14 @@ class Redactor:
 
 
 def redact(docs: Dataset, *, text_col: str = "text", concurrency: int = 4) -> Dataset:
+    """``Redactor`` columns appended to every row; ``concurrency`` caps the
+    number of concurrent tasks."""
     return docs.map_batches(
-        Redactor,
-        fn_constructor_kwargs={"text_col": text_col},
+        Redactor(text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         concurrency=concurrency,
         batch_size=4096,
-        num_cpus=0.5,  # fractional: full-CPU pools starve upstream reads
     )
 
 

@@ -137,6 +137,54 @@ def _anti_auto(
                        how="anti", num_partitions=num_partitions)
 
 
+def _near_dup_components(
+    docs: Dataset,
+    *,
+    num_perm: int,
+    bands: int,
+    k: int,
+    threshold: float,
+    num_partitions: int,
+    concurrency: int,
+    bucket_cap: int = 4096,
+) -> Dataset:
+    """(vid, component) over near-dup graph members only: MinHash-LSH
+    candidates → exact-Jaccard verify → the engine's distributed
+    connected components (component = min doc_id of the cluster)."""
+    from graphx_ray.pipelines.graph import Graph
+
+    cand = minhash_lsh_pairs(
+        docs, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency,
+        bucket_cap=bucket_cap,
+    )
+    ver = verify_jaccard(
+        cand, docs, threshold=threshold, k=k, num_partitions=num_partitions
+    ).materialize()  # duplicate-PAIRS-sized, bounded; avoids re-running verify
+    n_pairs = ver.count()
+
+    def as_edges(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "src": batch["a"].cast(pa.int64()),
+                "dst": batch["b"].cast(pa.int64()),
+                "w": pa.array(np.ones(batch.num_rows, np.int64)),
+            }
+        )
+
+    edges = ver.map_batches(as_edges, batch_format="pyarrow", zero_copy_batch=True)
+    # size the CC pool to the DUP graph, not the corpus: staging + the P²
+    # ghost exchange are the fixed cost at small pair counts (~1M pairs
+    # per part is comfortably CSR-shard-sized)
+    cc_parts = int(min(num_partitions, max(2, n_pairs // 1_000_000 + 2)))
+    g = Graph(edges, num_parts=cc_parts)
+    try:
+        # the graph is duplicate-pairs-sized, tiny relative to the corpus,
+        # and stays a stream end to end (no driver table anywhere)
+        return g.connected_components()
+    finally:
+        g.close()
+
+
 def _minhash_cc_drops(
     uniq: Dataset,
     *,
@@ -159,38 +207,10 @@ def _minhash_cc_drops(
     shingles), verification is two storage-backed hash joins, clustering
     is the engine's distributed hash-min CC — each stage is bucketed or
     partition-parallel; nothing corpus-sized assembles anywhere."""
-    from graphx_ray.pipelines.graph import Graph
-
-    cand = minhash_lsh_pairs(
-        uniq, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency
+    cc = _near_dup_components(
+        uniq, num_perm=num_perm, bands=bands, k=k, threshold=threshold,
+        num_partitions=num_partitions, concurrency=concurrency,
     )
-    ver = verify_jaccard(
-        cand, uniq, threshold=threshold, k=k, num_partitions=num_partitions
-    ).materialize()  # duplicate-PAIRS-sized, bounded; avoids re-running verify
-    n_pairs = ver.count()
-
-    def as_edges(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch["a"].cast(pa.int64()),
-                "dst": batch["b"].cast(pa.int64()),
-                "w": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    edges = ver.map_batches(as_edges, batch_format="pyarrow", zero_copy_batch=True)
-    # size the CC pool to the DUP graph, not the corpus: staging + the P²
-    # ghost exchange are the fixed cost at small pair counts (~1M pairs
-    # per part is comfortably CSR-shard-sized)
-    cc_parts = int(min(num_partitions, max(2, n_pairs // 1_000_000 + 2)))
-    g = Graph(edges, num_parts=cc_parts)
-    try:
-        # (vid, component) Dataset over near-dup graph members only —
-        # the graph is duplicate-pairs-sized, tiny relative to the corpus,
-        # and stays a stream end to end (no driver table anywhere)
-        cc = g.connected_components()
-    finally:
-        g.close()
 
     if scores is None:
         def drops_only(batch: pa.Table) -> pa.Table:
@@ -250,33 +270,11 @@ def duplicate_clusters(
     for every document that belongs to a near-dup cluster (cluster_id =
     min doc_id of the cluster; singletons are omitted — they trivially
     cluster with themselves)."""
-    from graphx_ray.pipelines.graph import Graph
-
-    cand = minhash_lsh_pairs(
-        docs, num_perm=num_perm, bands=bands, k=k, concurrency=concurrency,
+    cc = _near_dup_components(
+        docs, num_perm=num_perm, bands=bands, k=k, threshold=threshold,
+        num_partitions=num_partitions, concurrency=concurrency,
         bucket_cap=bucket_cap,
     )
-    ver = verify_jaccard(
-        cand, docs, threshold=threshold, k=k, num_partitions=num_partitions
-    ).materialize()
-    n_pairs = ver.count()
-
-    def as_edges(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch["a"].cast(pa.int64()),
-                "dst": batch["b"].cast(pa.int64()),
-                "w": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-
-    edges = ver.map_batches(as_edges, batch_format="pyarrow", zero_copy_batch=True)
-    cc_parts = int(min(num_partitions, max(2, n_pairs // 1_000_000 + 2)))
-    g = Graph(edges, num_parts=cc_parts)
-    try:
-        cc = g.connected_components()
-    finally:
-        g.close()
 
     def as_clusters(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": batch["vid"], "cluster_id": batch["component"]})

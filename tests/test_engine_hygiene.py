@@ -1,11 +1,12 @@
-"""Structural guards on the CSR engine: no dead shard methods, and no Ray
-Data in shard processes."""
+"""Structural guards on the CSR engine: no dead shard methods, no Ray
+Data in shard processes, and sources that compile warning-free."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CSR = os.path.join(ROOT, "graphx_ray", "state", "csr.py")
@@ -60,3 +61,18 @@ def test_importing_csr_leaves_ray_data_unimported():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_sources_compile_with_warnings_as_errors():
+    """An invalid escape such as ``\\s`` in a non-raw string is a warning
+    today and a syntax error in later Pythons: every module must compile
+    with warnings turned into errors."""
+    failed = []
+    for path, src in _sources().items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                compile(src, path, "exec")
+            except SyntaxError as e:
+                failed.append(f"{os.path.relpath(path, ROOT)}: {e}")
+    assert failed == []

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pandas as pd
@@ -39,9 +40,21 @@ def same_bits(a: pd.Series, b: pd.Series) -> bool:
     return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
-def wait_dead(actor) -> None:
-    with pytest.raises(ray.exceptions.RayActorError):
-        ray.get(actor.owned_count.remote())
+def wait_dead(actor, timeout_s: float = 60.0) -> None:
+    """Block until Ray reports ``actor`` dead. ``ray.kill`` travels through
+    the GCS while a call goes straight to the actor, so a call made just
+    after the kill can still run (and fail on a released shard's missing
+    state): retry until the call fails with ``RayActorError``."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        try:
+            ray.get(actor.owned_count.remote(), timeout=10)
+        except ray.exceptions.RayActorError:
+            return
+        except (ray.exceptions.RayTaskError, ray.exceptions.GetTimeoutError):
+            pass
+        time.sleep(0.05)
+    pytest.fail(f"actor still alive {timeout_s:.0f} s after ray.kill")
 
 
 def test_reload_and_release_clear_every_attribute(tmp_path):
