@@ -5447,7 +5447,8 @@ def _salsa_oracle(iters: int = 3, scale: int = 1_000_000) -> str:
     h0 AS MATERIALIZED (SELECT v, CAST({scale} AS BIGINT) AS h FROM verts)"""
         + "".join(rounds_sql)
         + f"""
-    SELECT h{iters}.v AS vid, h{iters}.h AS hub, a{iters}.a AS auth
+    SELECT h{iters}.v AS vid, CAST(h{iters}.h AS BIGINT) AS hub,
+        CAST(a{iters}.a AS BIGINT) AS auth
     FROM h{iters} JOIN a{iters} ON a{iters}.v = h{iters}.v
     """
     )

@@ -82,13 +82,21 @@ def curate(
         return batch.filter(pa.array(keep_m))
 
     gated = scored.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-    kept = gated.select_columns(["doc_id", "text"])
-    scores = gated.select_columns(["doc_id", "n_words"]) if keep == "best" else None
 
     # surviving rows come straight out of the fingerprint shuffle — no
     # exact_dedup + broadcast semi_join (whose distinct-id ray.put is
     # corpus-cardinality: ~8 GB on the driver at 10^9 docs; VERDICT r3 #1)
-    uniq = exact_dedup_rows(kept, num_partitions=num_partitions)
+    if keep == "best":
+        # n_words rides through the (eager) dedup spill, so the survivor
+        # scores come from its rows: the corpus is read and scored once
+        cols = ["doc_id", "text", "n_words"]
+        uniq = exact_dedup_rows(gated.select_columns(cols), columns=cols,
+                                num_partitions=num_partitions)
+        scores = uniq.select_columns(["doc_id", "n_words"])
+    else:
+        kept = gated.select_columns(["doc_id", "text"])
+        scores = None
+        uniq = exact_dedup_rows(kept, num_partitions=num_partitions)
 
     if near_dup == "minhash":
         drops = _minhash_cc_drops(

@@ -14,7 +14,7 @@ was empty, so Appendix A is the contract the north_rule binds to):
 - ``triangle_count``: canonical simple graph, per-vertex counts (A.4) —
   non-iterative path in pipelines/triangles.py.
 
-Iterative algorithms run over a ``CsrShard`` actor pool: scatter
+Iterative algorithms run over ``CsrShard`` partitions: scatter
 (per-destination-partition pre-aggregated partials) → ref-routed shuffle
 through the object store → gather. Every single-exchange algorithm
 (PageRank and its tol/personalized/parallel variants, CC, LPA and seeded
@@ -35,17 +35,25 @@ betweenness) keep their own loops but share the hub broadcast
 (``_broadcast_hubs``), the record/checkpoint step (``_record``) and the
 result collection (``_collect``).
 
-Shard actors are recycled. Starting one costs a process plus the import of
+One host per partition. A Graph runs on P ``csr.ShardHost`` actors,
+whatever its algorithms use: ``_pool(variant)`` stages the directed edges
+once (the first call), loads them into the hosts, and derives the
+reversed and undirected views inside the hosts the first time an
+algorithm asks for them (csr.py module docstring). It returns P thin
+handles (``_View``) bound to (host, view), which the drivers call as
+they would actors.
+
+Hosts are recycled. Starting one costs a process plus the import of
 ``state.csr`` (~2.5 s for a pool of 4 on a 4-core host, against ~0.1 s to
-load the shards), so ``close()`` does not kill a pool: it releases each
-actor's arrays and parks it on a module-level idle list, and the next pool
-(this or any later Graph) reloads idle actors first and starts new ones
-only for the shortfall. Lifecycle:
+load the shards), so ``close()`` does not kill a pool: it releases every
+view and parks the hosts on a module-level idle list, and the next pool
+(this or any later Graph, or the SVD++ and truss pipelines) reloads idle
+hosts first and starts new ones only for the shortfall. Lifecycle:
 
 - ``close()`` is what makes a pool reusable. A Graph that is never closed
-  keeps its actors until its handles go out of scope; Ray then kills them.
-- The idle list only grows to the most shards alive at once, and each idle
-  actor costs about 105-110 MB PSS. Actors found dead are dropped, and the
+  keeps its hosts until their handles go out of scope; Ray then kills them.
+- The idle list only grows to the most hosts alive at once, and each idle
+  host costs about 105-110 MB PSS. Hosts found dead are dropped, and the
   list of an ended Ray session is never used.
 """
 
@@ -67,7 +75,7 @@ from ray.data import Dataset
 
 from graphx_ray.context import register_spill
 from graphx_ray.state import checkpoint as ckpt
-from graphx_ray.state.csr import CsrShard
+from graphx_ray.state import csr
 
 
 def _as_dataset(x) -> Dataset:
@@ -98,16 +106,17 @@ def _default_parts() -> int:
     return max(2, min(ncpu, 64))
 
 
-# num_cpus=0: shard actors compute only while no Ray Data tasks are running
+# num_cpus=0: host actors compute only while no Ray Data tasks are running
 # (supersteps are the sole active stage), and a pool that RESERVED P CPUs
-# would starve the staging pipeline of the next algorithm variant on a busy
-# node (observed deadlock). Ray's logical CPUs are admission control, not an
-# OS limit.
-_Shard = ray.remote(num_cpus=0)(CsrShard)
+# would starve the Ray Data stages that run between supersteps (staging,
+# result read-back, a pipeline's own stages) on a busy node (observed
+# deadlock). Ray's logical CPUs are admission control, not an OS limit.
+_Host = ray.remote(num_cpus=0)(csr.ShardHost)
 
-# Idle shard actors of the current Ray session, keyed by (node id, job id):
+# Idle host actors of the current Ray session, keyed by (node id, job id):
 # a list left over from an earlier session is dropped, never used. Graphs
-# on several threads share it, so take and return actors under the lock.
+# and pipelines on several threads share it, so take and return hosts
+# under the lock.
 _IDLE: dict[tuple, list] = {}
 _IDLE_LOCK = threading.Lock()
 
@@ -121,22 +130,69 @@ def _idle_shards() -> list:
     return _IDLE[key]
 
 
-def _load_shards(P: int, man: dict, route: str) -> list:
-    """P shard actors holding ``man``'s partitions: idle actors are
-    reloaded, and new ones start only for the shortfall (or to replace an
-    idle actor that died)."""
+def _load_hosts(P: int, name: str, factory, *args) -> list:
+    """P host actors, host p holding ``factory(p, *args)`` as ``name``:
+    idle hosts are reused, and new ones start only for the shortfall (or
+    to replace an idle host that died)."""
     with _IDLE_LOCK:
         idle = _idle_shards()
-        actors = idle[:P]
+        hosts = idle[:P]
         del idle[:P]
-    reloads = [a.reload.remote(p, P, man, route) for p, a in enumerate(actors)]
-    actors += [_Shard.remote(p, P, man, route) for p in range(len(actors), P)]
-    for p, ref in enumerate(reloads):
+    hosts += [_Host.remote() for _ in range(len(hosts), P)]
+    loads = [h.load.remote(name, factory, p, *args) for p, h in enumerate(hosts)]
+    for p, ref in enumerate(loads):
         try:
             ray.get(ref)
         except ray.exceptions.RayActorError:
-            actors[p] = _Shard.remote(p, P, man, route)
-    return actors
+            hosts[p] = _Host.remote()
+            ray.get(hosts[p].load.remote(name, factory, p, *args))
+    return hosts
+
+
+def _park_hosts(hosts: list) -> None:
+    """Release every shard the hosts hold and put them on the idle list,
+    where the next pool reuses them; a host that died is dropped."""
+    released = [(h, h.release.remote()) for h in hosts]
+    alive = []
+    for h, ref in released:
+        try:
+            ray.get(ref)
+        except ray.exceptions.RayActorError:
+            continue
+        alive.append(h)
+    with _IDLE_LOCK:
+        _idle_shards().extend(alive)
+
+
+class _View:
+    """Driver handle of one named shard on a host: ``view.m.remote(*a)``
+    and ``view.m.options(num_returns=P).remote(*a)`` run ``m`` on that
+    shard, so the algorithm drivers call views as they would actors."""
+
+    __slots__ = ("host", "name")
+
+    def __init__(self, host, name: str):
+        self.host = host
+        self.name = name
+
+    def __getattr__(self, method: str):
+        if method.startswith("__"):
+            raise AttributeError(method)
+        return _ViewCall(self.host.call, (self.name, method))
+
+
+class _ViewCall:
+    __slots__ = ("call", "head")
+
+    def __init__(self, call, head: tuple):
+        self.call = call
+        self.head = head
+
+    def remote(self, *args):
+        return self.call.remote(*self.head, *args)
+
+    def options(self, **kw):
+        return _ViewCall(self.call.options(**kw), self.head)
 
 
 class Graph:
@@ -171,69 +227,36 @@ class Graph:
         self.route = scatter_route or "packed"
         if self.route not in ("packed", "per_dest"):
             raise ValueError(self.route)
-        self._staged: dict = {}  # variant -> manifest
-        self._actors: dict = {}  # variant -> (actors, manifest)
+        self._staged: dict | None = None  # stage_graph's directed manifest
+        self._hosts: list | None = None  # P ShardHost actors
+        self._actors: dict = {}  # variant -> (view handles, manifest)
         self._rseq = 0  # result-directory counter (Dataset-default returns)
 
     # ------------------------------------------------------------------ infra
 
-    def _edge_variant(self, variant: str) -> Dataset:
-        from graphx_ray.stages.derive import canonical_edges
-
-        if variant == "directed":
-            return self._with_weight(self.edges)
-        if variant == "reversed":
-            # SCC backward pass: every edge flipped, weights kept
-            def flip(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {"src": batch["dst"], "dst": batch["src"], "w": batch["w"]}
-                )
-
-            return self._with_weight(self.edges).map_batches(
-                flip, batch_format="pyarrow", zero_copy_batch=True
-            )
-        if variant == "undirected_weighted":
-            # LPA influence graph (A.3): every directed edge contributes BOTH
-            # directions with its weight; self-loops kept (GraphX behavior).
-            return self._with_weight(self.edges)
-        if variant == "undirected":
-            canon = canonical_edges(self.edges)
-
-            def to_sym(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {
-                        "src": batch["u"],
-                        "dst": batch["v"],
-                        "w": pa.array(np.ones(batch.num_rows, np.int64)),
-                    }
-                )
-
-            return canon.map_batches(to_sym, batch_format="pyarrow", zero_copy_batch=True)
-        raise ValueError(variant)
-
-    def _stage(self, variant: str) -> dict:
-        if variant in self._staged:
-            return self._staged[variant]
-        from graphx_ray.state.csr import stage_graph
-
-        man = stage_graph(
-            self._edge_variant(variant),
-            self.vertices,
-            os.path.join(self.workdir, variant),
-            self.P,
-            # undirected variants symmetrize (u,v)+(v,u) at stage time
-            symmetric=variant in ("undirected", "undirected_weighted"),
-            salt_threshold=self.salt_threshold,
-        )
-        man["variant"] = variant
-        self._staged[variant] = man
-        return man
-
     def _pool(self, variant: str):
+        """The ``variant`` view of this Graph as P handles, one per host,
+        and its manifest. The first call stages the directed edges and
+        loads them into P hosts; every other view is derived inside the
+        hosts (``csr.ShardHost``), with no further staging pass."""
         if variant in self._actors:
             return self._actors[variant]
-        man = self._stage(variant)
-        actors = _load_shards(self.P, man, self.route)
+        if variant != "directed" and variant not in csr.VIEWS:
+            raise ValueError(variant)
+        if self._staged is None:
+            self._staged = csr.stage_graph(
+                self._with_weight(self.edges), self.vertices,
+                os.path.join(self.workdir, "directed"), self.P,
+                salt_threshold=self.salt_threshold,
+            )
+        if self._hosts is None:
+            self._hosts = _load_hosts(
+                self.P, "directed", csr.load_directed, self.P, self._staged, self.route
+            )
+        man = {**self._staged, "variant": variant}
+        if variant != "directed":
+            man["hubs"] = self._derive(variant).tolist()
+        actors = [_View(h, variant) for h in self._hosts]
         # one-time ghost index exchange: receiver j caches local indices of
         # every sender's unique destinations
         uniq = ray.get([a.uniq_dsts.remote() for a in actors])  # P lists of P refs
@@ -243,12 +266,25 @@ class Graph:
                 for j in range(self.P)
             ]
         )
-        if man.get("hubs"):
+        if man["hubs"]:
             partials = ray.get([a.hub_outdeg_part.remote() for a in actors])
             hub_outdeg = np.sum(partials, axis=0)
             ray.get([a.set_hub_outdeg.remote(hub_outdeg) for a in actors])
         self._actors[variant] = (actors, man)
         return actors, man
+
+    def _derive(self, variant: str) -> np.ndarray:
+        """Build ``variant``'s shard on every host from the directed ones
+        (``csr.ShardHost``); returns the view's salted hubs, sorted."""
+        hosts = self._hosts
+        sent = [h.send_view.remote(variant) for h in hosts]
+        found = ray.get(
+            [h.recv_view.remote(variant, sent, self.salt_threshold) for h in hosts]
+        )
+        hubs = np.sort(np.concatenate(found))  # owners are disjoint
+        moved = [h.spread_hubs.remote(variant, hubs) for h in hosts] if len(hubs) else []
+        ray.get([h.build_view.remote(variant, hubs, moved) for h in hosts])
+        return hubs
 
     def _scatter(self, actors, method: str, *args) -> list:
         """Dispatch one scatter wave and return per-receiver ref lists:
@@ -288,7 +324,7 @@ class Graph:
         merged vectors, aligned to the manifest's sorted hubs."""
         if not man.get("hubs"):
             return None
-        hubs = np.asarray(man["hubs"], dtype=np.int64)  # sorted by stage_graph
+        hubs = np.asarray(man["hubs"], dtype=np.int64)  # sorted by _pool
         parts = ray.get([a.hub_state.remote(list(names)) for a in actors])
         vids_all = np.concatenate([p[0] for p in parts])
         order = np.argsort(vids_all)
@@ -1577,10 +1613,10 @@ class Graph:
         unassigned vertices to fixpoint — color(v) = min unassigned vid
         that reaches v; (2) over REVERSED edges, propagate reach flags from
         each color root r (color==vid) restricted to equal colors —
-        reached(v) ⇔ v→*r; (3) assign those SCCs, repeat. The two actor
-        pools share hash partitioning, so color/label vectors hand off
-        per-part through the object store — nothing graph-sized touches
-        the driver."""
+        reached(v) ⇔ v→*r; (3) assign those SCCs, repeat. The directed
+        and reversed views of a part live on one host, so color/label
+        vectors hand off per part through the object store — nothing
+        graph-sized touches the driver."""
         fwd, man_f = self._pool("directed")
         rev, man_r = self._pool("reversed")
         ray.get([a.scc_init.remote() for a in fwd + rev])
@@ -1613,7 +1649,7 @@ class Graph:
                     break
                 remaining = sum(ray.get([a.scc_reset_colors.remote() for a in fwd]))
             if remaining == 0:
-                # keep the reverse pool's labels current before exiting
+                # keep the reversed view's labels current before exiting
                 label_refs = [a.get_scc_labels.remote() for a in fwd]
                 ray.get(
                     [rev[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
@@ -1627,7 +1663,7 @@ class Graph:
                 )
                 if changed == 0:
                     break
-            # hand colors to the reverse pool, part by part (same owned sets)
+            # hand colors to the reversed view, part by part (same owned sets)
             color_refs = [a.get_colors.remote() for a in fwd]
             ray.get(
                 [rev[p].scc_adopt_colors.remote(color_refs[p]) for p in range(self.P)]
@@ -2141,21 +2177,12 @@ class Graph:
         return ds.map_batches(ensure_w, batch_format="pyarrow", zero_copy_batch=True)
 
     def close(self) -> None:
-        """Release every pool's shard actors to the idle list, where the
-        next pool reuses them; an actor that died is dropped."""
-        released = [
-            (a, a.release.remote()) for actors, _ in self._actors.values() for a in actors
-        ]
+        """Release every view and park the hosts on the idle list, where
+        the next pool reuses them; a host that died is dropped."""
         self._actors.clear()
-        alive = []
-        for a, ref in released:
-            try:
-                ray.get(ref)
-            except ray.exceptions.RayActorError:
-                continue
-            alive.append(a)
-        with _IDLE_LOCK:
-            _idle_shards().extend(alive)
+        if self._hosts is not None:
+            _park_hosts(self._hosts)
+            self._hosts = None
 
 
 def partition_by(edges, strategy: str, num_parts: int, *, col: str = "part"):

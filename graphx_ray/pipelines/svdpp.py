@@ -30,18 +30,22 @@ parquet and handed back as a lazy Dataset.
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data as rd
-from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle, register_spill
 from graphx_ray.ids import mix64, part_of
+
+if TYPE_CHECKING:
+    # shard hosts import this module for its shard classes: keep Ray Data
+    # out of their processes
+    from ray.data import Dataset
 
 
 def u01(vids: np.ndarray, stream: int, col: int, seed: int) -> np.ndarray:
@@ -59,7 +63,6 @@ def init_factors(vids: np.ndarray, rank: int, stream: int, seed: int) -> np.ndar
     return np.stack([u01(vids, stream, j, seed) for j in range(rank)], axis=1)
 
 
-@ray.remote(num_cpus=0)
 class _SvdppShard:
     """One partition: user slice + its edges (CSR by item part) + item slice."""
 
@@ -286,6 +289,38 @@ class _SvdppShard:
         return t.num_rows
 
 
+def _load_ratings(edges, num_parts, workdir, prefix: str, shard_cls, *args):
+    """Stage a ratings edge table hash-partitioned by user and load one
+    ``shard_cls(part, P, edge_dir, *args)`` per part onto recycled shard
+    hosts. Returns (P, workdir, hosts, view handles); the caller parks
+    the hosts when done."""
+    from graphx_ray.context import ensure_hash_shuffle, register_spill
+    from graphx_ray.pipelines.graph import _as_dataset, _default_parts, _load_hosts, _View
+
+    edges = _as_dataset(edges)
+    ensure_hash_shuffle(edges)
+    P = num_parts or _default_parts()
+    wd = workdir or register_spill(tempfile.mkdtemp(prefix=prefix, dir="/tmp"))
+    edge_dir = os.path.join(wd, "edges")
+
+    def tag(batch: pa.Table) -> pa.Table:
+        src = batch["src"].to_numpy()
+        rcol = "r" if "r" in batch.column_names else "w"
+        return pa.table({
+            "src": pa.array(src, type=pa.int64()),
+            "dst": batch["dst"].cast(pa.int64()),
+            "r": batch[rcol].cast(pa.float64()),
+            "src_part": pa.array(part_of(src, P), type=pa.int32()),
+        })
+
+    shutil.rmtree(edge_dir, ignore_errors=True)
+    edges.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
+        edge_dir, partition_cols=["src_part"]
+    )
+    hosts = _load_hosts(P, "svdpp", shard_cls, P, edge_dir, *args)
+    return P, wd, hosts, [_View(h, "svdpp") for h in hosts]
+
+
 def svdpp(
     edges,
     *,
@@ -306,36 +341,14 @@ def svdpp(
     (vertex Dataset [vid, kind, f1, f2, bias, v4], μ, stats). Users carry
     (p, usr2, b_u, norm); items carry (q, y, b_i, Σ train err²) — the
     exact GraphX return shape."""
-    from graphx_ray.pipelines.graph import _as_dataset, _default_parts
+    import ray.data as rd
 
-    edges = _as_dataset(edges)
-    ensure_hash_shuffle(edges)
-    P = num_parts or _default_parts()
-    wd = workdir or register_spill(tempfile.mkdtemp(prefix="graphx_svdpp_", dir="/tmp"))
-    edge_dir = os.path.join(wd, "edges")
+    from graphx_ray.pipelines.graph import _park_hosts
 
-    def tag(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy()
-        rcol = "r" if "r" in batch.column_names else "w"
-        return pa.table({
-            "src": pa.array(src, type=pa.int64()),
-            "dst": batch["dst"].cast(pa.int64()),
-            "r": batch[rcol].cast(pa.float64()),
-            "src_part": pa.array(part_of(src, P), type=pa.int32()),
-        })
-
-    import shutil
-
-    shutil.rmtree(edge_dir, ignore_errors=True)
-    edges.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        edge_dir, partition_cols=["src_part"]
+    P, wd, hosts, actors = _load_ratings(
+        edges, num_parts, workdir, "graphx_svdpp_", _SvdppShard, rank, seed,
+        gamma1, gamma2, gamma6, gamma7, min_val, max_val,
     )
-
-    actors = [
-        _SvdppShard.remote(p, P, edge_dir, rank, seed, gamma1, gamma2, gamma6,
-                           gamma7, min_val, max_val)
-        for p in range(P)
-    ]
     try:
         ufuts = [a.uniq_dsts.remote() for a in actors]
         ray.get([actors[j].register_requests.remote(ufuts, j) for j in range(P)])
@@ -368,8 +381,7 @@ def svdpp(
         }
         return rd.read_parquet(outdir), mu, stats
     finally:
-        for a in actors:
-            ray.kill(a)
+        _park_hosts(hosts)
 
 
 # ------------------------------------------------- fixed-point variant
@@ -393,8 +405,7 @@ def u01_e6(vids: np.ndarray, stream: int, col: int, seed: int) -> np.ndarray:
     return (h % np.uint64(_S)).astype(np.int64)
 
 
-@ray.remote(num_cpus=0)
-class _SvdppFixedShard(_SvdppShard.__ray_actor_class__):
+class _SvdppFixedShard(_SvdppShard):
     """Integer-arithmetic twin of ``_SvdppShard`` (same CSR layout and
     message plumbing; every formula in micro-units with floor division)."""
 
@@ -568,35 +579,14 @@ def svdpp_fixed(
     bit-identical at ANY partitioning — integer sums are order-free — and
     therefore SQL-hash-verifiable, unlike the float GraphX-parity variant.
     Returns (vid, kind, bias_e6, f0_e6..f{rank-1}_e6)."""
-    from graphx_ray.pipelines.graph import _as_dataset, _default_parts
+    import ray.data as rd
 
-    edges = _as_dataset(edges)
-    ensure_hash_shuffle(edges)
-    P = num_parts or _default_parts()
-    wd = workdir or register_spill(tempfile.mkdtemp(prefix="graphx_svdppf_", dir="/tmp"))
-    edge_dir = os.path.join(wd, "edges")
+    from graphx_ray.pipelines.graph import _park_hosts
 
-    def tag(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy()
-        rcol = "r" if "r" in batch.column_names else "w"
-        return pa.table({
-            "src": pa.array(src, type=pa.int64()),
-            "dst": batch["dst"].cast(pa.int64()),
-            "r": batch[rcol].cast(pa.float64()),
-            "src_part": pa.array(part_of(src, P), type=pa.int32()),
-        })
-
-    import shutil
-
-    shutil.rmtree(edge_dir, ignore_errors=True)
-    edges.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        edge_dir, partition_cols=["src_part"]
+    P, wd, hosts, actors = _load_ratings(
+        edges, num_parts, workdir, "graphx_svdppf_", _SvdppFixedShard, rank, seed,
+        gamma1, gamma2, gamma6, gamma7, min_val, max_val,
     )
-    actors = [
-        _SvdppFixedShard.remote(p, P, edge_dir, rank, seed, gamma1, gamma2,
-                                gamma6, gamma7, min_val, max_val)
-        for p in range(P)
-    ]
     try:
         ufuts = [a.uniq_dsts.remote() for a in actors]
         ray.get([actors[j].register_requests.remote(ufuts, j) for j in range(P)])
@@ -617,5 +607,4 @@ def svdpp_fixed(
         sum(ray.get([a.write_output.remote(outdir) for a in actors]))
         return rd.read_parquet(outdir)
     finally:
-        for a in actors:
-            ray.kill(a)
+        _park_hosts(hosts)

@@ -526,9 +526,9 @@ def coreness(
     2016): c₀ = degree; cₜ₊₁(v) = H({cₜ(u) : u ∈ N(v)}); converges to the
     k-core decomposition's core numbers exactly.
 
-    Shape (round-3 de-drivered): the graph is staged SYMMETRIC through
-    the CsrShard actor pool (one hash-partitioned spill + one-time ghost
-    index exchange, same machinery as PageRank); per-vertex c vectors
+    Shape (round-3 de-drivered): the graph's undirected view on the
+    shard hosts (one hash-partitioned spill, the view exchange and the
+    one-time ghost index exchange, same machinery as PageRank); per-vertex c vectors
     live in partition-aligned actor state. Each round every shard packs
     the c values its peers' neighborhoods need (the pull mirror of the
     scatter ghost exchange), peers fetch them zero-copy from the object
@@ -1873,20 +1873,23 @@ PARTITION_QUALITY_SCHEMA = pa.schema(
 
 def partition_quality(edges, labels, *, num_partitions: int = 16) -> Dataset:
     """Per-community quality metrics of a vertex labeling (the Louvain /
-    LPA / PIC evaluation row): for each community C of the undirected
-    weighted graph —
+    LPA / PIC evaluation row) over the canonical simple graph of
+    ``edges``: distinct unordered pairs u≠v, each counted once — input
+    weights, parallel edges and self-loops do not count. For each
+    community C of the labels —
 
-        n    = |C|,   vol = Σ_{v∈C} deg_w(v)
-        in2  = 2·w(edges inside C)   (so in2 + cut = vol exactly)
-        cut  = w(edges leaving C)
+        n    = |C| (labeled vertices, edge-less ones included)
+        vol  = Σ_{v∈C} deg(v), deg = number of distinct neighbours
+        in2  = 2·(pairs inside C)    (so in2 + cut = vol exactly)
+        cut  = pairs leaving C
         cond_micro = half-up micro conductance cut / min(vol, 2m − vol)
                      (−1 when the min is 0: C is everything or isolated)
 
     Every column is an exact int64, so modularity folds from the rows
     alone: Q = Σ_C (in2·2m − vol²) / (2m)² with 2m = Σ_C vol — the
     assortativity-style sufficient-statistics contract, no float leaves
-    the engine. Self-loops are dropped with the canonicalization
-    (matching the engines the labels come from).
+    the engine. It is the modularity of unweighted Louvain's view
+    (``Graph.louvain()``), not of ``weighted=True``'s.
 
     Scale shape: one canonical-edge pass, two label bucket_joins onto
     the edge table (both corpus-sized), one weighted-degree reduce +

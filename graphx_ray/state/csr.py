@@ -4,16 +4,25 @@ CSR adjacency held in zero-copy Arrow buffers inside a stateful actor pool").
 
 Design (idiomatic Ray, NOT a Spark port):
 
-- ``stage_graph`` is a Ray Data pipeline: edges get ``src_part =
-  splitmix64(src) % P`` and are written as hash-partitioned Parquet
-  (``partition_cols``), vertices likewise — resumable, partition-pruned
-  storage that one actor each loads.
-- ``CsrShard`` (one actor per partition, ``num_cpus=0``) loads its edge
-  slice ONCE, sorts it by (dst_part, dst), and precomputes for every
-  destination partition j: the segment slice, the per-unique-destination
-  run starts (so scatter is one ``np.add.reduceat`` / ``minimum.reduceat``
-  — a combiner that pre-aggregates messages per destination BEFORE the
-  shuffle), and the sorted unique destination vids.
+- ``stage_graph`` is a Ray Data pipeline: a Graph's DIRECTED edges get
+  ``src_part = splitmix64(src) % P`` and are written as hash-partitioned
+  Parquet (``partition_cols``), vertices likewise — resumable,
+  partition-pruned storage that one host actor each loads. It runs once
+  per Graph: no other view is staged.
+- ``ShardHost`` (one actor per partition, ``num_cpus=0``) holds every
+  view of its partition as a ``CsrShard``, by name: ``directed`` from
+  the staging, and ``reversed``, ``undirected_weighted`` and
+  ``undirected`` (``VIEWS``) derived from it inside the hosts by one
+  actor-to-actor exchange — each edge goes to the owner of its new
+  source, one packed object per sender, as GraphX derives reverse and
+  undirected views partition-locally instead of re-shuffling. Hub
+  detection for a derived view is local to the new owners.
+- ``CsrShard`` sorts its edge slice ONCE by the total key (dst_part,
+  dst, src, w), and precomputes for every destination partition j: the
+  segment slice, the per-unique-destination run starts (so scatter is
+  one ``np.add.reduceat`` / ``minimum.reduceat`` — a combiner that
+  pre-aggregates messages per destination BEFORE the shuffle), and the
+  sorted unique destination vids.
 - One-time **ghost exchange**: receiver j caches, per sender i, the local
   indices of sender i's unique destinations. After that, a superstep
   message is a bare float64/int64 numpy array aligned to that cached index
@@ -52,20 +61,21 @@ Design (idiomatic Ray, NOT a Spark port):
   ``hash(dst)``; every shard then holds a replica slice of the hub's
   adjacency plus the hub's (vid → rank) lookup, refreshed each superstep
   via one broadcast — scatter stays balanced under power-law skew.
-- **Recycled actors.** A shard actor outlives its graph: ``Graph.close()``
-  calls ``release()`` (every attribute dropped) and parks the actor on an
-  idle list; the next pool calls ``reload(part, num_parts, manifest,
-  route)``, which clears ``__dict__`` and re-runs ``__init__``. Clearing
-  ``__dict__`` is what drops the lazily built attributes (``_w32``,
-  ``_w_int``, ``_dist_cols``) and per-algorithm state (``scc_*``,
-  ``hindex_*``, ...), so a reloaded shard is exactly a fresh one, without
-  the ~2.5 s process start and module import of a new actor. Only
-  ``close()`` parks actors: an unclosed Graph's actors die with its
-  handles. An idle actor holds about 105-110 MB PSS (4-core host).
+- **Recycled hosts.** A host outlives its graph: ``Graph.close()`` calls
+  ``release()`` (every shard dropped) and parks the actor on an idle
+  list; the next pool calls ``load(name, factory, ...)``, which drops
+  whatever the host held and installs a fresh shard. Shards are never
+  reused, only their process — without the ~2.5 s process start and
+  module import of a new actor. The SVD++ and truss pipelines load their
+  own shard classes onto the same hosts. Only ``close()`` parks hosts:
+  an unclosed Graph's hosts die with its handles. An idle host holds
+  about 105-110 MB PSS (4-core host).
 
-Determinism: owned vids sorted, edges sorted by (dst_part, dst), senders
-always merged in ascending partition order ⇒ identical float summation
-order every run — required for bit-identical checkpoint resume.
+Determinism: owned vids sorted, edges sorted by the total key (dst_part,
+dst, src, w) — a function of the edge multiset, whichever order staging
+or the view exchange delivered it in — and senders always merged in
+ascending partition order ⇒ identical float summation order every run —
+required for bit-identical checkpoint resume.
 """
 
 from __future__ import annotations
@@ -118,13 +128,14 @@ def stage_graph(
     workdir: str,
     num_parts: int,
     *,
-    symmetric: bool = False,
     salt_threshold: int | None = None,
 ) -> dict:
     """Write hash-partitioned edge + vertex Parquet under ``workdir``.
 
     edges: (src, dst, w [, ...]); vertices: (vid [, ...]) or None to derive
-    the universe from edge endpoints. Returns a manifest dict.
+    the universe from edge endpoints. Returns a manifest dict. Only a
+    Graph's directed edges are staged: ``ShardHost`` derives every other
+    view from them.
     """
     from graphx_ray.context import ensure_hash_shuffle
 
@@ -139,9 +150,6 @@ def stage_graph(
         src = batch["src"].to_numpy()
         dst = batch["dst"].to_numpy()
         w = batch["w"].to_numpy() if "w" in batch.column_names else np.ones(len(src), np.int64)
-        if symmetric:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            w = np.tile(w, 2)
         part = part_of(src, P)
         if hubs is not None and len(hubs):
             is_hub = np.isin(src, hubs)
@@ -189,7 +197,6 @@ def stage_graph(
         "num_parts": P,
         "edge_dir": edge_dir,
         "vert_dir": vert_dir,
-        "symmetric": symmetric,
         "hubs": np.sort(hubs).tolist() if hubs is not None else [],  # sorted: searchsorted-able
     }
 
@@ -252,8 +259,12 @@ class CsrShard:
     destination partition, current per-vertex value vector(s).
     """
 
-    def __init__(self, part: int, num_parts: int, manifest: dict,
-                 route: str = "packed"):
+    def __init__(self, part: int, num_parts: int, owned: np.ndarray,
+                 src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+                 hubs: np.ndarray, route: str = "packed"):
+        """``owned``: this part's vids, sorted and unique; (src, dst, w):
+        the part's edges in any order; ``hubs``: the salted hub vids,
+        sorted."""
         self.part = part
         self.P = num_parts
         # Message routing mode (see module docstring):
@@ -267,33 +278,16 @@ class CsrShard:
         if route not in ("packed", "per_dest"):
             raise ValueError(route)
         self.route = route
-        self.hubs = np.asarray(manifest.get("hubs", []), dtype=np.int64)
-
-        vdir = os.path.join(manifest["vert_dir"], f"part={part}")
-        # unique (not just sort): staging writes block-local vid partials
-        # without a global dedup shuffle — equal vids co-partition, so the
-        # partition-local unique completes the dedup deterministically
-        self.owned = (
-            np.unique(pq.read_table(vdir, columns=["vid"])["vid"].to_numpy())
-            if os.path.isdir(vdir)
-            else np.empty(0, np.int64)
-        )
+        self.hubs = np.asarray(hubs, dtype=np.int64)
+        self.owned = owned
         self.n = len(self.owned)
-
-        edir = os.path.join(manifest["edge_dir"], f"src_part={part}")
-        if os.path.isdir(edir):
-            et = pq.read_table(edir, columns=["src", "dst", "w"])
-            src = et["src"].to_numpy()
-            dst = et["dst"].to_numpy()
-            w = et["w"].to_numpy().astype(np.float64)
-        else:
-            src = dst = np.empty(0, np.int64)
-            w = np.empty(0, np.float64)
+        w = np.asarray(w, np.float64)
 
         dst_part = part_of(dst, self.P)
-        # primary dst_part, then dst (contiguous runs per destination!), then
-        # src for full determinism — np.lexsort keys are LAST-primary
-        order = np.lexsort((src, dst, dst_part))
+        # primary dst_part, then dst (contiguous runs per destination!),
+        # then src and w: a total key, so the storage order is a function
+        # of the edge multiset alone — np.lexsort keys are LAST-primary
+        order = np.lexsort((w, src, dst, dst_part))
         self.src = src[order]
         self.dst = dst[order]
         self.w = w[order]
@@ -357,21 +351,11 @@ class CsrShard:
         self.hub_outdeg: np.ndarray | None = None
         self.lpa_frozen: np.ndarray | None = None  # seeded-LPA clamp
 
-    # ------------------------------------------------------------- recycling
-
-    def reload(self, part: int, num_parts: int, manifest: dict,
-               route: str = "packed") -> None:
-        """Load another partition into this recycled actor, as a fresh
-        actor's ``__init__`` would (module docstring: no attribute of the
-        previous graph survives)."""
-        self.__dict__.clear()
-        self.__init__(part, num_parts, manifest, route)
-
-    def release(self) -> None:
-        """Drop the partition's arrays before the actor goes idle."""
-        self.__dict__.clear()
-
     # ---------------------------------------------------------- init plumbing
+
+    def edges(self) -> tuple:
+        """The part's (src, dst, w) in storage order."""
+        return self.src, self.dst, self.w
 
     def uniq_dsts(self) -> list:
         """Per-dst-part unique destination vids, as one ObjectRef each so the
@@ -1318,7 +1302,7 @@ class CsrShard:
     #      communities).
     # Self-loop edges (contracted multilevel graphs) are excluded from
     # w(v→·) by zeroing their scatter weight but KEPT in k via outdeg —
-    # symmetric staging writes a self-loop twice, so outdeg already
+    # the undirected_weighted view holds a self-loop twice, so outdeg already
     # carries the standard 2·w_self.
 
     def init_louvain(self) -> None:
@@ -2213,3 +2197,154 @@ class CsrShard:
             "n_edges": self.m,
             "ghost_out": int(sum(len(u) for u in self.uniq_dst)),
         }
+
+
+# ---------------------------------------------------------------------- host
+
+
+def load_directed(part: int, num_parts: int, manifest: dict,
+                  route: str = "packed") -> CsrShard:
+    """Partition ``part`` of ``stage_graph``'s directed staging as a
+    shard."""
+    vdir = os.path.join(manifest["vert_dir"], f"part={part}")
+    # unique (not just sort): staging writes block-local vid partials
+    # without a global dedup shuffle — equal vids co-partition, so the
+    # partition-local unique completes the dedup deterministically
+    owned = (
+        np.unique(pq.read_table(vdir, columns=["vid"])["vid"].to_numpy())
+        if os.path.isdir(vdir)
+        else np.empty(0, np.int64)
+    )
+    edir = os.path.join(manifest["edge_dir"], f"src_part={part}")
+    if os.path.isdir(edir):
+        et = pq.read_table(edir, columns=["src", "dst", "w"])
+        src, dst, w = (et[c].to_numpy() for c in ("src", "dst", "w"))
+    else:
+        src = dst = np.empty(0, np.int64)
+        w = np.empty(0, np.float64)
+    return CsrShard(part, num_parts, owned, src, dst, w,
+                    manifest.get("hubs", []), route)
+
+
+def _reversed(src, dst, w):
+    return dst, src, w
+
+
+def _undirected_weighted(src, dst, w):
+    """Both directions of every edge with its weight; a self-loop stays,
+    twice."""
+    return np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(w, 2)
+
+
+def _unique_pairs(src, dst):
+    """Distinct (src, dst) pairs, sorted."""
+    if not len(src):
+        return src, dst
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    rs = _runs(src, dst)
+    return src[rs], dst[rs]
+
+
+def _undirected(src, dst, w):
+    """The canonical simple graph: distinct pairs u≠v, both directions,
+    w = 1 (input weights and self-loops ignored)."""
+    keep = src != dst
+    u, v = _unique_pairs(np.minimum(src, dst)[keep], np.maximum(src, dst)[keep])
+    return np.concatenate([u, v]), np.concatenate([v, u]), np.ones(2 * len(u))
+
+
+# every view a host derives from the directed one: directed edges → its edges
+VIEWS = {
+    "reversed": _reversed,
+    "undirected_weighted": _undirected_weighted,
+    "undirected": _undirected,
+}
+
+
+def _split(part: np.ndarray, num_parts: int, *cols: np.ndarray) -> list:
+    """``cols`` split by ``part``: one tuple of arrays per part."""
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(num_parts + 1))
+    cols = [c[order] for c in cols]
+    return [tuple(c[bounds[j]:bounds[j + 1]] for c in cols) for j in range(num_parts)]
+
+
+class ShardHost:
+    """One partition's actor, holding every shard object loaded into it by
+    name: a Graph's views (``"directed"``, and the views in ``VIEWS`` it
+    derives here), or a pipeline's own shard. The driver reaches a shard
+    through ``call``; hosts outlive the Graphs that use them
+    (pipelines/graph.py, "Recycled hosts").
+
+    Deriving a view is one exchange: every host maps its directed edges
+    to the view's edges and sends each to the owner of its new source
+    (``send_view``, one packed object per sender); each receiver
+    concatenates its input in ascending sender order (``recv_view``).
+    The shard then sorts by a total key, so the view's storage order is a
+    function of its edge multiset alone. With a salt threshold, the
+    receiver knows the view's full out-degree of every vertex it owns:
+    its hubs are found locally, and after the driver merges and
+    broadcasts them, ``spread_hubs`` moves hub edges to the owner of
+    their destination before ``build_view``."""
+
+    def __init__(self):
+        self.views: dict = {}
+        self._pending: dict = {}
+
+    def load(self, name: str, factory, *args) -> None:
+        """Drop whatever this host held and install ``factory(*args)`` as
+        ``name``."""
+        self.release()
+        self.views[name] = factory(*args)
+
+    def release(self) -> None:
+        """Drop every shard before the host goes idle."""
+        self.views = {}
+        self._pending = {}
+
+    def call(self, name: str, method: str, *args):
+        return getattr(self.views[name], method)(*args)
+
+    # ----------------------------------------------------- view derivation
+
+    def send_view(self, view: str) -> list:
+        d = self.views["directed"]
+        src, dst, w = VIEWS[view](*d.edges())
+        return _split(part_of(src, d.P), d.P, src, dst, w)
+
+    def recv_view(self, view: str, sent: list, threshold: int | None) -> np.ndarray:
+        """Take this part's slice of every sender's ``send_view`` output;
+        return the owned vertices whose out-degree (Σw) in the view
+        exceeds ``threshold``, sorted."""
+        d = self.views["directed"]
+        got = [lists[d.part] for lists in ray.get(sent)]
+        src, dst, w = (np.concatenate([g[k] for g in got]) for k in range(3))
+        if view == "undirected":  # a pair may arrive from two senders
+            src, dst = _unique_pairs(src, dst)
+            w = np.ones(len(src))
+        self._pending[view] = (src, dst, w)
+        if threshold is None or not len(src):
+            return np.empty(0, np.int64)
+        uniq, inv = np.unique(src, return_inverse=True)
+        return uniq[np.bincount(inv, weights=w) > threshold]
+
+    def spread_hubs(self, view: str, hubs: np.ndarray) -> list:
+        """Send the view's hub out-edges to the owners of their
+        destinations, one packed object; keep the rest."""
+        d = self.views["directed"]
+        src, dst, w = self._pending[view]
+        hub = np.isin(src, hubs)
+        self._pending[view] = (src[~hub], dst[~hub], w[~hub])
+        return _split(part_of(dst[hub], d.P), d.P, src[hub], dst[hub], w[hub])
+
+    def build_view(self, view: str, hubs: np.ndarray, moved: list) -> int:
+        """Install the view's shard from the kept edges plus this part's
+        slice of every ``spread_hubs`` output. Returns its edge count."""
+        d = self.views["directed"]
+        cols = [self._pending.pop(view)]
+        cols += [lists[d.part] for lists in ray.get(moved)]
+        src, dst, w = (np.concatenate([c[k] for c in cols]) for k in range(3))
+        shard = CsrShard(d.part, d.P, d.owned, src, dst, w, hubs, d.route)
+        self.views[view] = shard
+        return shard.m

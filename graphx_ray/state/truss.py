@@ -82,16 +82,16 @@ def _pair_lookup(ou: np.ndarray, ov: np.ndarray,
     return idx
 
 
-@ray.remote(num_cpus=0)
 class TrussShard:
-    """One edge partition of the truss H-index fixpoint. ``num_cpus=0``:
-    engine actors must not reserve CPUs or they starve the Ray Data
-    stages that stage the spill (CLAUDE.md deadlock note)."""
+    """One edge partition of the truss H-index fixpoint, loaded onto a
+    recycled shard host (``csr.ShardHost``) from the spill's
+    ``_gpart=<part>`` directory."""
 
-    def __init__(self, part: int, P: int, part_dir: str | None):
+    def __init__(self, part: int, P: int, spill_dir: str):
         self.part = part
         self.P = P
-        if part_dir is None or not os.path.isdir(part_dir):
+        part_dir = os.path.join(spill_dir, f"_gpart={part}")
+        if not os.path.isdir(part_dir):
             t = pa.schema(
                 [(c, pa.int64()) for c in
                  ("eu", "ev", "s1u", "s1v", "s2u", "s2v")]
@@ -285,67 +285,63 @@ def truss_fixpoint(tedge_spill: str, *, num_partitions: int,
     checkpoint discipline); ``resume=True`` restarts from the latest
     complete round — bit-identical, since the incidence spill is a
     deterministic function of the edge table and t is pure int64."""
-    import glob as _glob
     import tempfile
 
     import ray.data as rd
 
     from graphx_ray.context import register_spill
+    from graphx_ray.pipelines.graph import _load_hosts, _park_hosts, _View
     from graphx_ray.state import checkpoint as ckpt
 
     P = num_partitions
-    dirs = {
-        int(os.path.basename(d).split("=")[1]): d
-        for d in _glob.glob(os.path.join(tedge_spill, "_gpart=*"))
-    }
-    actors = [
-        TrussShard.remote(p, P, dirs.get(p)) for p in range(P)
-    ]
-    requests = ray.get([a.ghost_requests.remote() for a in actors])
-    # owner q receives element q of every requester's list
-    ray.get([
-        a.register_exports.remote([requests[r][q] for r in range(P)])
-        for q, a in enumerate(actors)
-    ])
-    ray.get([
-        a.build_sibling_index.remote(requests[r])
-        for r, a in enumerate(actors)
-    ])
-    fp = {"algo": "trussness", "P": P}
-    start = 0
-    converged = False
-    if checkpoint_dir and resume:
-        it0 = ckpt.latest_complete(checkpoint_dir, fp)
-        if it0 is not None:
-            ray.get([
-                a.t_load.remote(ckpt.part_path(checkpoint_dir, it0, p))
-                for p, a in enumerate(actors)
-            ])
-            start = it0 + 1
-            if ckpt.manifest_metrics(checkpoint_dir, it0).get("changed") == 0:
+    hosts = _load_hosts(P, "truss", TrussShard, P, tedge_spill)
+    actors = [_View(h, "truss") for h in hosts]
+    try:
+        requests = ray.get([a.ghost_requests.remote() for a in actors])
+        # owner q receives element q of every requester's list
+        ray.get([
+            a.register_exports.remote([requests[r][q] for r in range(P)])
+            for q, a in enumerate(actors)
+        ])
+        ray.get([
+            a.build_sibling_index.remote(requests[r])
+            for r, a in enumerate(actors)
+        ])
+        fp = {"algo": "trussness", "P": P}
+        start = 0
+        converged = False
+        if checkpoint_dir and resume:
+            it0 = ckpt.latest_complete(checkpoint_dir, fp)
+            if it0 is not None:
+                ray.get([
+                    a.t_load.remote(ckpt.part_path(checkpoint_dir, it0, p))
+                    for p, a in enumerate(actors)
+                ])
+                start = it0 + 1
+                if ckpt.manifest_metrics(checkpoint_dir, it0).get("changed") == 0:
+                    converged = True
+        for rnd in range(start if not converged else max_rounds, max_rounds):
+            refs = [a.ghost_vals.remote() for a in actors]
+            changed = sum(ray.get([a.step.remote(refs) for a in actors]))
+            if checkpoint_dir:
+                rows = ray.get([
+                    a.result_write.remote(ckpt.part_path(checkpoint_dir, rnd, p))
+                    for p, a in enumerate(actors)
+                ])
+                ckpt.write_manifest(
+                    checkpoint_dir, rnd, fp,
+                    {str(p): r for p, r in enumerate(rows)},
+                    {"algo": "trussness", "iteration": rnd,
+                     "changed": int(changed)},
+                )
+            if changed == 0:
                 converged = True
-    for rnd in range(start if not converged else max_rounds, max_rounds):
-        refs = [a.ghost_vals.remote() for a in actors]
-        changed = sum(ray.get([a.step.remote(refs) for a in actors]))
-        if checkpoint_dir:
-            rows = ray.get([
-                a.result_write.remote(ckpt.part_path(checkpoint_dir, rnd, p))
-                for p, a in enumerate(actors)
-            ])
-            ckpt.write_manifest(
-                checkpoint_dir, rnd, fp,
-                {str(p): r for p, r in enumerate(rows)},
-                {"algo": "trussness", "iteration": rnd,
-                 "changed": int(changed)},
-            )
-        if changed == 0:
-            converged = True
-            break
-    out = register_spill(tempfile.mkdtemp(prefix="graphx_trussres_", dir="/tmp"))
-    ray.get([
-        a.result_write.remote(os.path.join(out, f"part-{p}.parquet"))
-        for p, a in enumerate(actors)
-    ])
-    for a in actors:
-        ray.kill(a)
+                break
+        out = register_spill(tempfile.mkdtemp(prefix="graphx_trussres_", dir="/tmp"))
+        ray.get([
+            a.result_write.remote(os.path.join(out, f"part-{p}.parquet"))
+            for p, a in enumerate(actors)
+        ])
+    finally:
+        _park_hosts(hosts)
     return rd.read_parquet(out), converged

@@ -110,16 +110,23 @@ def main() -> int:
         bad = None
         for c in got.columns:
             a, b = got[c].to_numpy(), want[c].to_numpy()
+            # the correctness harness hashes dtypes too: an int-kind column
+            # against a float-kind one fails there even when all values match
+            if {a.dtype.kind in "iub", b.dtype.kind in "iub"} == {True, False} and (
+                "f" in (a.dtype.kind, b.dtype.kind)
+            ):
+                bad = f"{c} dtype {a.dtype} != oracle {b.dtype}"
+                break
             eq = np.array_equal(a, b) if a.dtype.kind in "iub" and b.dtype.kind in "iub" else (
                 np.allclose(pd.to_numeric(got[c]), pd.to_numeric(want[c]))
                 if a.dtype.kind in "if" or b.dtype.kind in "if"
                 else (a == b).all()
             )
             if not eq:
-                bad = c
+                bad = f"{c} differs"
                 break
         if bad:
-            print(f"FAIL {name}: column {bad} differs ({dt:.1f}s)")
+            print(f"FAIL {name}: column {bad} ({dt:.1f}s)")
             failures += 1
         else:
             print(f"ok   {name}: {len(got)} rows match oracle ({dt:.1f}s)")

@@ -61,7 +61,7 @@ def test_salted_hub_split_matches_unsalted():
     vdf = pd.DataFrame({"vid": verts.astype(np.int64)})
     g = Graph(edges, vdf, num_parts=3, salt_threshold=50)
     try:
-        man = g._stage("directed")
+        _, man = g._pool("directed")
         assert man["hubs"] == [0]  # the hub got salted
         pr = ranks_df(g.pagerank(max_iter=8))
         cc = ranks_df(g.connected_components())

@@ -49,11 +49,12 @@ def test_every_public_csrshard_method_is_referenced():
 
 
 def test_importing_csr_leaves_ray_data_unimported():
-    """Shard actors import ``graphx_ray.state.csr``; Ray Data must stay out
-    of their processes (it costs every idle actor memory)."""
+    """Shard hosts import ``graphx_ray.state.csr``, and the modules of the
+    shard classes they load (SVD++, truss); Ray Data must stay out of
+    their processes (it costs every idle host memory)."""
     code = (
-        "import sys, ray, graphx_ray.state.csr; "
-        "print('ray.data' in sys.modules)"
+        "import sys, ray, graphx_ray.state.csr, graphx_ray.pipelines.svdpp, "
+        "graphx_ray.state.truss; print('ray.data' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=ROOT)
     out = subprocess.run(

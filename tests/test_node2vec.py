@@ -165,5 +165,5 @@ def test_walks_salted_hub_bit_parity(algo, ray_session):
         finally:
             g.close()
         if thr == 40:
-            assert g._staged["directed"]["hubs"], "salting must have split a hub"
+            assert g._staged["hubs"], "salting must have split a hub"
     pd.testing.assert_frame_equal(outs[0], outs[1])

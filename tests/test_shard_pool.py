@@ -1,5 +1,5 @@
-"""Recycled CsrShard actors (pipelines/graph.py module docstring): a closed
-Graph's shard actors go to an idle list and the next pool reloads them.
+"""Recycled shard hosts (pipelines/graph.py module docstring): a closed
+Graph's host actors go to an idle list and the next pool reloads them.
 No state may leak from one graph into the next, and dead or stale actors
 must never be handed out."""
 
@@ -17,7 +17,7 @@ import ray
 from graphx_ray.context import cleanup_spills
 from graphx_ray.pipelines import graph as gm
 from graphx_ray.pipelines.graph import Graph
-from graphx_ray.state.csr import CsrShard
+from graphx_ray.state import csr
 from oracles import cc_oracle, fixture_graphs, lpa_oracle, pagerank_oracle
 
 FIX = fixture_graphs()
@@ -31,8 +31,9 @@ def by_vid(ds) -> pd.DataFrame:
     return ds.to_pandas().sort_values("vid").reset_index(drop=True)
 
 
-def shards(g: Graph, variant: str) -> list:
-    return list(g._actors[variant][0])
+def shards(g: Graph) -> list:
+    """The Graph's host actors: every view of it lives on them."""
+    return list(g._hosts)
 
 
 def same_bits(a: pd.Series, b: pd.Series) -> bool:
@@ -43,36 +44,48 @@ def same_bits(a: pd.Series, b: pd.Series) -> bool:
 def wait_dead(actor, timeout_s: float = 60.0) -> None:
     """Block until Ray reports ``actor`` dead. ``ray.kill`` travels through
     the GCS while a call goes straight to the actor, so a call made just
-    after the kill can still run (and fail on a released shard's missing
-    state): retry until the call fails with ``RayActorError``."""
+    after the kill can still run: retry until the call fails with
+    ``RayActorError``."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         try:
-            ray.get(actor.owned_count.remote(), timeout=10)
+            ray.get(actor.release.remote(), timeout=10)
         except ray.exceptions.RayActorError:
             return
-        except (ray.exceptions.RayTaskError, ray.exceptions.GetTimeoutError):
+        except ray.exceptions.GetTimeoutError:
             pass
         time.sleep(0.05)
     pytest.fail(f"actor still alive {timeout_s:.0f} s after ray.kill")
 
 
 def test_reload_and_release_clear_every_attribute(tmp_path):
-    """In-process: a reloaded shard has exactly a fresh shard's attributes,
-    whatever lazy or algorithm state it held before."""
+    """In-process: a host that held a graph's directed view, a derived
+    view and a half-built one has, once it loads another partition,
+    exactly a fresh host's attributes; release leaves it empty."""
     edges, verts = FIX["parallel_self"]
     g = Graph(edges, vdf(verts), num_parts=2, workdir=str(tmp_path))
-    man = g._stage("directed")
-    s = CsrShard(0, 2, man)
-    s.init_value("pr32")  # builds _w32/_outdeg32/_hub_outdeg32
-    s.scc_color = np.zeros(s.n, np.int64)
-    s.reload(1, 2, man, "per_dest")
-    fresh = CsrShard(1, 2, man, "per_dest")
-    assert sorted(vars(s)) == sorted(vars(fresh))
+    man = csr.stage_graph(g._with_weight(g.edges), g.vertices,
+                          str(tmp_path / "directed"), 2)
+    h = csr.ShardHost()
+    h.load("directed", csr.load_directed, 0, 2, man)
+    h.views["directed"].init_value("pr32")  # builds _w32/_outdeg32
+    sent = [ray.put(h.send_view("undirected"))]
+    h.recv_view("undirected", sent, None)
+    h.build_view("undirected", np.empty(0, np.int64), [])
+    h.recv_view("reversed", [ray.put(h.send_view("reversed"))], None)
+    assert set(h.views) == {"directed", "undirected"} and h._pending
+
+    h.load("directed", csr.load_directed, 1, 2, man, "per_dest")
+    fresh = csr.ShardHost()
+    fresh.load("directed", csr.load_directed, 1, 2, man, "per_dest")
+    assert sorted(vars(h)) == sorted(vars(fresh))
+    assert h._pending == {} and list(h.views) == ["directed"]
+    s, f = h.views["directed"], fresh.views["directed"]
+    assert sorted(vars(s)) == sorted(vars(f))
     assert s.part == 1 and s.route == "per_dest"
-    assert np.array_equal(s.owned, fresh.owned) and np.array_equal(s.w, fresh.w)
-    s.release()
-    assert vars(s) == {}
+    assert np.array_equal(s.owned, f.owned) and np.array_equal(s.w, f.w)
+    h.release()
+    assert h.views == {} and h._pending == {}
 
 
 def test_recycled_shards_carry_no_state():
@@ -99,8 +112,8 @@ def test_recycled_shards_carry_no_state():
     try:
         a.pagerank(max_iter=5, dtype="float32")
         a.strongly_connected_components()
-        assert a._staged["directed"]["hubs"] == [0]
-        a_directed = shards(a, "directed")
+        assert a._staged["hubs"] == [0]
+        a_hosts = shards(a)
     finally:
         a.close()
 
@@ -112,8 +125,8 @@ def test_recycled_shards_carry_no_state():
         try:
             pr64 = by_vid(g.pagerank(max_iter=10))
             pr32 = by_vid(g.pagerank(max_iter=10, dtype="float32"))
-            if P == 3:  # the very actors that built A's _w32
-                assert shards(g, "directed") == a_directed
+            if P == 3:  # the very hosts that held A's _w32 and SCC state
+                assert shards(g) == a_hosts
             cc = by_vid(g.connected_components())
             lpa = by_vid(g.label_propagation(max_iter=4))
         finally:
@@ -125,9 +138,9 @@ def test_recycled_shards_carry_no_state():
         np.testing.assert_allclose(pr32["rank"], want_pr["rank"], rtol=1e-4, atol=1e-4)
         pd.testing.assert_frame_equal(cc, want_cc, check_dtype=False)
         pd.testing.assert_frame_equal(lpa, want_lpa, check_dtype=False)
-    # the list only grows to the most shards alive at once: B's three
-    # variant pools at P=5
-    assert len(gm._idle_shards()) == 15
+    # the list only grows to the most hosts alive at once: B's P=5 hosts,
+    # which held all three of its views
+    assert len(gm._idle_shards()) == 5
 
 
 def test_resume_on_recycled_pool_is_bit_identical(tmp_path):
@@ -138,21 +151,21 @@ def test_resume_on_recycled_pool_is_bit_identical(tmp_path):
     g1 = Graph(edges, vdf(verts), num_parts=3)
     try:
         full = by_vid(g1.pagerank(max_iter=8))
-        first = shards(g1, "directed")
+        first = shards(g1)
     finally:
         g1.close()
 
     g2 = Graph(edges, vdf(verts), num_parts=3)
     try:
         g2.pagerank(max_iter=4, checkpoint_dir=ck)
-        assert shards(g2, "directed") == first
+        assert shards(g2) == first
     finally:
         g2.close()
 
     g3 = Graph(edges, vdf(verts), num_parts=3)
     try:
         resumed = by_vid(g3.pagerank(max_iter=8, checkpoint_dir=ck, resume=True))
-        assert shards(g3, "directed") == first
+        assert shards(g3) == first
     finally:
         g3.close()
     assert same_bits(full["rank"], resumed["rank"])
@@ -163,7 +176,7 @@ def test_close_drops_a_killed_shard():
     g = Graph(edges, vdf(verts), num_parts=3)
     try:
         g.connected_components()
-        victim = shards(g, "undirected")[0]
+        victim = shards(g)[0]
         ray.kill(victim)
         wait_dead(victim)
     finally:
@@ -192,7 +205,7 @@ def test_shard_that_died_while_idle_is_replaced():
     g2 = Graph(edges, vdf(verts), num_parts=3)
     try:
         pr = by_vid(g2.pagerank(max_iter=6))
-        assert victim not in shards(g2, "directed")
+        assert victim not in shards(g2)
     finally:
         g2.close()
     want = pagerank_oracle(edges, verts, max_iter=6).sort_values("vid").reset_index(drop=True)
@@ -200,13 +213,13 @@ def test_shard_that_died_while_idle_is_replaced():
 
 
 class FakeShard:
-    """Stands in for a shard actor handle: ``reload``/``release`` answer at
+    """Stands in for a host actor handle: ``load``/``release`` answer at
     once, and ``holder`` records which thread holds it."""
 
     def __init__(self, ready):
         self.ready = ready
         self.holder = None
-        self.reload = self.release = self
+        self.load = self.release = self
 
     def remote(self, *args):
         return self.ready
@@ -224,7 +237,7 @@ def test_idle_list_is_thread_safe():
         me = threading.get_ident()
         g = Graph(FIX["ring_n"][0], num_parts=2, workdir=os.devnull)
         for _ in range(200):
-            pool = gm._load_shards(2, {}, "packed")
+            pool = gm._load_hosts(2, "directed", None)
             for f in pool:
                 if f.holder is not None:
                     clashes.append(f)
@@ -233,7 +246,7 @@ def test_idle_list_is_thread_safe():
                 if f.holder != me:
                     clashes.append(f)
                 f.holder = None
-            g._actors["directed"] = (pool, None)
+            g._hosts = pool
             g.close()
 
     old = sys.getswitchinterval()
@@ -267,7 +280,7 @@ def run():
     g = gm.Graph(cycle, num_parts=2)
     try:
         ranks = g.pagerank(max_iter=3, as_table=True)["rank"].to_pylist()
-        pool = list(g._actors["directed"][0])
+        pool = list(g._hosts)
     finally:
         g.close()
     assert gm._idle_shards() == pool

@@ -236,3 +236,32 @@ def test_curate_completes_in_a_one_cpu_session(ray_session, tmp_path):
             .sort_values("doc_id").reset_index(drop=True))
     assert len(want) > 0
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_curate_best_scores_the_corpus_once(ray_session, tmp_path, monkeypatch):
+    """``keep="best"`` takes its survivor scores from the exact-dedup
+    output: ``QualityScorer`` sees each input batch once, as in a single
+    pass of ``quality_scores`` over the corpus."""
+    import graphx_ray.functions.text as text
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    class Counting(QualityScorer):
+        def __call__(self, batch):
+            import uuid
+
+            (calls / uuid.uuid4().hex).touch()
+            return super().__call__(batch)
+
+    monkeypatch.setattr(text, "QualityScorer", Counting)
+    tbl = corpus()
+    quality_scores(as_ds(tbl)).materialize()
+    one_pass = len(list(calls.iterdir()))
+    assert one_pass > 0
+    for f in calls.iterdir():
+        f.unlink()
+
+    out = curate(as_ds(tbl), keep="best", num_partitions=4).to_pandas()
+    assert len(out) > 0
+    assert len(list(calls.iterdir())) == one_pass
