@@ -697,7 +697,7 @@ def _effdiam_oracle(*, p: int, iters: int, q_num: int = 9, q_den: int = 10) -> s
 
 
 def _katz_oracle(*, inv_alpha: int, iters: int, beta: int) -> str:
-    """SQL replay of pipelines.katz.katz_fixed over the chain graph:
+    """SQL replay of ``Graph.katz`` over the chain graph:
     integer micro-unit scores, unrolled rounds, non-negative ``//``
     (truncation == floor on these operands — the pinned recipe)."""
     rounds = "".join(
@@ -1118,9 +1118,8 @@ def _eig_oracle(*, iters: int) -> str:
 def _q_katz_chain(sf_dir: str):
     """Katz centrality, fixed-point integer iteration (α = 1/8, 4 rounds)
     over the cust→order→part chain graph — through the CSR actor engine
-    (round-5: one ghost-sized exchange per iteration; bit-identical to
-    the ``katz_fixed`` derive composition, which stays as the resumable
-    Dataset-API variant the SQL oracle mirrors)."""
+    (one ghost-sized exchange per iteration), bit-identical to the
+    unrolled SQL oracle."""
     from graphx_ray.pipelines.graph import Graph
 
     g = Graph(_chain_edges(sf_dir), num_parts=8)
@@ -1557,10 +1556,11 @@ def _q_community_quality_events(sf_dir: str):
     from graphx_ray.pipelines.graph import Graph
     from graphx_ray.stages.structural import partition_quality
 
-    g = Graph(_cooccur_edges(sf_dir), num_parts=8)
+    edges = _cooccur_edges(sf_dir)
+    g = Graph(edges, num_parts=8)
     try:
         labels = g.louvain(max_rounds=8)
-        return partition_quality(_cooccur_edges(sf_dir), labels, num_partitions=8)
+        return partition_quality(edges, labels, num_partitions=8)
     finally:
         g.close()
 

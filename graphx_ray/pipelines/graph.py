@@ -16,24 +16,30 @@ was empty, so Appendix A is the contract the north_rule binds to):
 
 Iterative algorithms run over ``CsrShard`` partitions: scatter
 (per-destination-partition pre-aggregated partials) → ref-routed shuffle
-through the object store → gather. Every single-exchange algorithm
-(PageRank and its tol/personalized/parallel variants, CC, LPA and seeded
-LPA, ``pregel`` with everything built on it, the BFS/shortest-path/
-widest-path/topo-layer fixpoints, path counts and the walks) runs on ONE
-loop, ``Graph._supersteps``. It owns the resume start, the salted-hub
-broadcast before each scatter, the dispatch window, one metrics.jsonl
-record per superstep, the per-superstep checkpoint (resume replays from
-the last complete manifest) and the stop test on the gather results.
+through the object store → gather. Every algorithm built from exchanges
+over one view (PageRank and its tol/personalized/parallel variants, CC,
+LPA and seeded LPA, ``pregel`` with everything built on it, HITS, the
+BFS/shortest-path/widest-path/topo-layer fixpoints, path counts and the
+walks) runs on ONE loop, ``Graph._supersteps``. A superstep is a list of
+phases — exchanges, and per-shard calls that take the previous phase's
+P results as arguments (HITS folds its norms and hub partials that
+way). The loop owns the resume start, the salted-hub broadcast before
+each superstep, the dispatch window, one metrics.jsonl record per
+superstep, the per-superstep checkpoint (resume replays from the last
+complete manifest) and the stop test on the gather results.
 
-The window rule: up to 4 supersteps are dispatched with no driver
-barrier in between (an actor runs its calls in submission order, so
-scatter k+1 queues behind gather k), unless the call checkpoints, stops
-on a gather result, or runs on a graph with salted hubs — those need the
-driver after every superstep, so their window is 1. HITS and the
-multi-exchange drivers (SALSA, MIS, coloring, matching, Louvain, SCC,
-betweenness) keep their own loops but share the hub broadcast
-(``_broadcast_hubs``), the record/checkpoint step (``_record``) and the
-result collection (``_collect``).
+The window rule: up to 4 supersteps are dispatched per driver barrier
+(an actor runs its calls in submission order, so superstep k+1 queues
+behind superstep k), unless the call stops on a gather result or runs on
+a graph with salted hubs — those need the driver after every superstep,
+so their window is 1. A checkpoint keeps the window: every shard's part
+write for superstep k is queued right after it, and the manifests are
+written after the barrier, in order. The multi-exchange drivers (SALSA,
+MIS, coloring, matching, Louvain, SCC, betweenness) keep their own loops
+but share the hub broadcast (``_broadcast_hubs``), the record/checkpoint
+step (``_record``) and the result collection (``_result_ds``: the
+shards' result tables stay in the object store and become a Dataset
+through ``rd.from_arrow_refs``).
 
 One host per partition. A Graph runs on P ``csr.ShardHost`` actors,
 whatever its algorithms use: ``_pool(variant)`` stages the directed edges
@@ -99,6 +105,13 @@ def _changed(res: list) -> dict:
 
 def _settled(rec: dict) -> bool:
     return rec["changed"] == 0
+
+
+def _get_all(nested: list) -> list:
+    """``ray.get`` over a list of ref lists in ONE driver barrier; the
+    values come back in the same nesting."""
+    flat = iter(ray.get([r for refs in nested for r in refs]))
+    return [[next(flat) for _ in refs] for refs in nested]
 
 
 def _default_parts() -> int:
@@ -230,7 +243,7 @@ class Graph:
         self._staged: dict | None = None  # stage_graph's directed manifest
         self._hosts: list | None = None  # P ShardHost actors
         self._actors: dict = {}  # variant -> (view handles, manifest)
-        self._rseq = 0  # result-directory counter (Dataset-default returns)
+        self._rseq = 0  # walk-rows directory counter
 
     # ------------------------------------------------------------------ infra
 
@@ -335,58 +348,60 @@ class Graph:
         ray.get([a.set_hub_state.remote(list(names), merged) for a in actors])
         return merged
 
-    def _collect(self, actors, method: str, *args, output_path: str | None = None,
-                 as_table: bool = False, rename: list | None = None):
-        """An algorithm's result from each shard's ``method(*args)`` table:
-        by default per-part parquet read back as a lazy Dataset (nothing
-        O(V) touches the driver); ``as_table`` is the opt-in small-graph
-        path, the ONLY place an O(V) driver concat happens (VERDICT r3 #2)."""
-        if as_table:
-            t = pa.concat_tables(ray.get([getattr(a, method).remote(*args) for a in actors]))
-            return t.rename_columns(rename) if rename else t
-        return self._result_ds(
-            actors, method, args, output_path=output_path, label=method, rename=rename,
-        )
-
     def _result_ds(
-        self, actors, method: str, args=(), *,
-        output_path: str | None = None, label: str = "result",
-        rename: list | None = None, parts: list[int] | None = None,
-    ) -> Dataset:
-        """Per-part parquet → lazy ``read_parquet``: the Dataset-default
-        collection for every algorithm. The part files land under the
-        graph's workdir (or ``output_path``) and the result never
-        assembles on the driver; ``parts`` restricts which actors write
-        (aggregate_messages skips message-less parts whose empty table
-        has a placeholder dtype)."""
-        out = output_path or os.path.join(
-            self.workdir, "results", f"{label}-{self._rseq}"
-        )
-        self._rseq += 1
+        self, actors, method: str, *args, output_path: str | None = None,
+        as_table: bool = False, rename: list | None = None,
+        parts: list[int] | None = None,
+    ):
+        """An algorithm's result: one table per shard from its
+        ``method(*args)``, columns renamed on the shard
+        (``CsrShard.result_table``).
+
+        - Default: each table stays in the object store as the return of
+          its actor call (an object the driver owns, so it outlives the
+          host that made it), wrapped as ``rd.from_arrow_refs``: no part
+          files, no read job, nothing O(V) on the driver (VERDICT r3 #2).
+        - ``as_table``: the same tables concatenated on the driver — the
+          opt-in small-graph path, the ONLY O(V) driver concat.
+        - ``output_path``: per-part parquet there, read back lazily.
+
+        ``parts`` restricts which shards contribute (aggregate_messages
+        skips message-less parts, whose empty table has a placeholder
+        dtype)."""
         idx = parts if parts is not None else range(len(actors))
-        # read back ONLY the part files just written — a reused
-        # output_path with stale part-*.parquet must not leak in
-        paths = [os.path.join(out, f"part-{p}.parquet") for p in idx]
-        ray.get(
-            [
-                actors[p].write_result.remote(path, method, list(args), rename)
-                for path, p in zip(paths, idx)
-            ]
-        )
-        return rd.read_parquet(paths)
+        if output_path and not as_table:
+            # read back ONLY the part files just written — a reused
+            # output_path with stale part-*.parquet must not leak in
+            paths = [os.path.join(output_path, f"part-{p}.parquet") for p in idx]
+            ray.get(
+                [
+                    actors[p].write_result.remote(path, method, list(args), rename)
+                    for path, p in zip(paths, idx)
+                ]
+            )
+            return rd.read_parquet(paths)
+        refs = [actors[p].result_table.remote(method, list(args), rename) for p in idx]
+        return pa.concat_tables(ray.get(refs)) if as_table else rd.from_arrow_refs(refs)
 
     def _fingerprint(self, algo: str, params: dict, man: dict) -> dict:
         return {"algo": algo, "params": params, "P": self.P, "variant": man["variant"]}
 
-    def _checkpoint(self, actors, ckpt_dir, it, fp, cols, metrics) -> None:
-        """Superstep ``it``'s checkpoint: one part file per shard holding
-        the (column → shard attribute) ``cols``, then the manifest."""
-        rows = ray.get(
-            [
-                a.write_result.remote(ckpt.part_path(ckpt_dir, it, p), "state_table", [cols])
-                for p, a in enumerate(actors)
-            ]
-        )
+    def _checkpoint_parts(self, actors, ckpt_dir, it, cols) -> list:
+        """Queue superstep ``it``'s checkpoint part on every shard: one
+        file holding the (column → shard attribute) ``cols``. Returns the
+        row-count refs (no barrier)."""
+        return [
+            a.write_result.remote(ckpt.part_path(ckpt_dir, it, p), "state_table", [cols])
+            for p, a in enumerate(actors)
+        ]
+
+    def _checkpoint(self, actors, ckpt_dir, it, fp, cols, metrics,
+                    rows: list | None = None) -> None:
+        """Superstep ``it``'s checkpoint: its part files (``rows``, the
+        per-part row counts of parts already written, or written now),
+        then the manifest."""
+        if rows is None:
+            rows = ray.get(self._checkpoint_parts(actors, ckpt_dir, it, cols))
         ckpt.write_manifest(
             ckpt_dir, it, fp, {str(p): r for p, r in enumerate(rows)}, metrics
         )
@@ -407,42 +422,65 @@ class Graph:
         return it + 1
 
     def _record(self, algo: str, it: int, wall: float, fields: dict,
-                actors=None, checkpoint: tuple | None = None) -> dict:
-        """One superstep's metrics.jsonl record, and its checkpoint when
-        ``checkpoint`` = (dir, fingerprint, cols) names a directory."""
-        rec = {"algo": algo, "iteration": it, "wall_s": wall, **fields}
+                actors=None, checkpoint: tuple | None = None, window: int = 1) -> dict:
+        """One superstep's metrics.jsonl record (``wall_s`` is the average
+        over the ``window`` supersteps that shared one driver barrier),
+        and its checkpoint when ``checkpoint`` = (dir, fingerprint, cols)
+        names a directory."""
+        rec = {"algo": algo, "iteration": it, "wall_s": wall, "window": window, **fields}
         ckpt.append_metrics(self.workdir, rec)
         if checkpoint and checkpoint[0]:
             self._checkpoint(actors, checkpoint[0], it, checkpoint[1], checkpoint[2], rec)
         return rec
 
-    def _supersteps(
-        self, actors, man, algo: str, scatter: tuple, gather: tuple, *,
-        max_iter: int, summary, stop=None, init: tuple | None = None,
-        first: int = 0, checkpoint: tuple | None = None, resume: bool = False,
-        hub_state: tuple = ("val",), numbered: bool = False,
-    ) -> dict | None:
-        """The superstep loop of every single-exchange algorithm.
+    def _superstep(self, actors, phases: list, n: tuple) -> list:
+        """Dispatch one superstep's ``phases`` with no barrier. Returns
+        every phase's P result refs, phase after phase, in one list."""
+        refs, prev = [], []
+        for phase in phases:
+            if isinstance(phase[0], str):  # a call on the previous phase's results
+                prev = [getattr(a, phase[0]).remote(*phase[1:], *n, *prev) for a in actors]
+            else:
+                prev = self._wave(actors, phase[0] + n, phase[1] + n)
+            refs += prev
+        return refs
 
-        - ``scatter``/``gather`` are (shard method, *args); each gather
-          also gets its ref list and its part, and ``numbered`` appends
-          the iteration to both argument lists.
+    def _supersteps(
+        self, actors, man, algo: str, scatter: tuple = (), gather: tuple = (), *,
+        phases: list | None = None, max_iter: int, summary, stop=None,
+        init: tuple | None = None, first: int = 0, checkpoint: tuple | None = None,
+        resume: bool = False, hub_state: tuple = ("val",), numbered: bool = False,
+    ) -> dict | None:
+        """The superstep loop of every algorithm built from exchanges.
+
+        - A superstep runs ``phases``, by default the one exchange
+          ``(scatter, gather)``. A phase is an exchange — (scatter,
+          gather), each (shard method, *args); every gather also gets its
+          ref list and its part — or a per-shard call (method, *args),
+          which also gets the previous phase's P result refs as arguments
+          (Ray resolves them to values on the shard). ``numbered``
+          appends the iteration to every argument list.
         - Start: with ``resume``, the newest complete checkpoint of
           ``checkpoint`` = (dir, fingerprint, cols); otherwise iteration
           ``first``, after every shard runs ``init`` = (method, *args).
-        - Before each scatter on a salted graph the ``hub_state`` vectors
-          are broadcast (an empty tuple skips it).
-        - ``summary(gather results)`` gives the superstep's metrics fields;
-          each superstep writes one metrics.jsonl record and, with a
-          checkpoint dir, one checkpoint.
+        - Before each superstep on a salted graph the ``hub_state``
+          vectors are broadcast (an empty tuple skips it).
+        - ``summary(last phase's results)`` gives the superstep's metrics
+          fields; each superstep writes one metrics.jsonl record and,
+          with a checkpoint dir, one checkpoint.
         - ``stop(record)`` ends the run early.
 
         Window rule: actor calls from one submitter run in submission
-        order, so scatter(k+1) on an actor queues behind its gather(k) — up
-        to 4 supersteps are dispatched with NO driver barrier in between.
-        A checkpoint, a stop test or salted hubs need the gather results
-        (or a broadcast) after every superstep: window 1 there. Returns
-        the last record (None when no superstep ran)."""
+        order, so superstep k+1 on an actor queues behind superstep k —
+        up to 4 supersteps are dispatched per driver barrier. A
+        checkpoint part is queued on every shard right after its
+        superstep's last phase, so it holds exactly that superstep's
+        state; after the barrier the manifests follow in iteration order,
+        each once all its parts exist, and a kill mid-window resumes from
+        the newest complete one. A stop test or salted hubs need the
+        driver after every superstep: window 1 there. Returns the last
+        record (None when no superstep ran)."""
+        phases = phases or [(scatter, gather)]
         ckpt_dir, fp, cols = checkpoint or (None, None, None)
         start = self._resume(actors, ckpt_dir, fp, cols) if resume else 0
         if start == 0:
@@ -450,22 +488,26 @@ class Graph:
             if init:
                 ray.get([getattr(a, init[0]).remote(*init[1:]) for a in actors])
         salted = bool(man.get("hubs"))
-        window = 1 if (ckpt_dir or stop or salted) else 4
+        window = 1 if (stop or salted) else 4
         rec = None
         it = start
         while it < max_iter:
             w = min(window, max_iter - it)
             t0 = time.time()
-            waves = []
+            steps, rows = [], []
             for k in range(w):
                 if salted and hub_state:
                     self._broadcast_hubs(actors, man, hub_state)
-                n = (it + k,) if numbered else ()
-                waves.append(self._wave(actors, scatter + n, gather + n))
-            results = [ray.get(wave) for wave in waves]
+                steps.append(self._superstep(actors, phases, (it + k,) if numbered else ()))
+                if ckpt_dir:
+                    rows.append(self._checkpoint_parts(actors, ckpt_dir, it + k, cols))
+            got = _get_all(steps + rows)
             wall = (time.time() - t0) / w
-            for k, res in enumerate(results):
-                rec = self._record(algo, it + k, wall, summary(res), actors, checkpoint)
+            for k in range(w):
+                rec = self._record(algo, it + k, wall, summary(got[k][-len(actors):]),
+                                   window=w)
+                if ckpt_dir:
+                    self._checkpoint(actors, ckpt_dir, it + k, fp, cols, rec, rows=got[w + k])
             it += w
             if stop is not None and stop(rec):
                 break
@@ -513,8 +555,8 @@ class Graph:
             init=("init_value", "pr" if dtype == "float64" else "pr32"),
             checkpoint=(checkpoint_dir, fp, cols), resume=resume,
         )
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def connected_components(
         self,
@@ -536,8 +578,8 @@ class Graph:
             checkpoint=(checkpoint_dir, self._fingerprint("cc", {}, man), cols),
             resume=resume,
         )
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def label_propagation(
         self,
@@ -557,8 +599,8 @@ class Graph:
             checkpoint=(checkpoint_dir, self._fingerprint("lpa", {}, man), cols),
             resume=resume,
         )
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def label_propagation_seeded(
         self,
@@ -596,8 +638,8 @@ class Graph:
             max_iter=max_iter, summary=_changed, stop=_settled,
             init=("lpa_seed_init", sv, sl),
         )
-        return self._collect(actors, "state_table", {"label": "val"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"label": "val"},
+                               output_path=output_path, as_table=as_table)
 
     def pagerank_tol(
         self,
@@ -623,8 +665,8 @@ class Graph:
             stop=lambda rec: rec["active"] == 0, init=("init_pr_dynamic", alpha, tol),
             hub_state=("pr_msg",),
         )
-        return self._collect(actors, "state_table", {"rank": "val"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"rank": "val"},
+                               output_path=output_path, as_table=as_table)
 
     def personalized_pagerank(
         self,
@@ -645,8 +687,8 @@ class Graph:
             max_iter=max_iter, init=("init_ppr", int(source)),
             summary=lambda res: {"l1_delta": float(sum(r[0] for r in res))},
         )
-        return self._collect(actors, "state_table", {"rank": "val"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"rank": "val"},
+                               output_path=output_path, as_table=as_table)
 
     def parallel_personalized_pagerank(
         self,
@@ -672,8 +714,8 @@ class Graph:
             summary=lambda res: {"l1_delta": float(sum(r[0] for r in res)),
                                  "n_sources": len(srcs)},
         )
-        return self._collect(actors, "ppr_multi_table", srcs, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "ppr_multi_table", srcs, output_path=output_path,
+                               as_table=as_table)
 
     def hits(
         self,
@@ -704,35 +746,23 @@ class Graph:
         # iteration k resumes into a longer run (same rule as pagerank)
         fp = self._fingerprint("hits", {"normalize": normalize}, man)
         cols = {"hub": "val", "auth": "val_a"}
-        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
-        if start == 0:
-            ray.get([a.init_hits.remote() for a in actors])
         m_total = sum(s["n_edges"] for s in ray.get([a.stats.remote() for a in actors]))
-        for it in range(start, max_iter):
-            t0 = time.time()
-            self._broadcast_hubs(actors, man)  # h of salted hubs for the scatter
-            a_sums = ray.get(self._wave(actors, ("scatter_hits_auth",), ("gather_hits_auth",)))
-            norm_a = float(sum(a_sums)) if normalize else 0.0
-            ray.get([a.scale_hits_auth.remote(norm_a) for a in actors])
-            res = ray.get(self._wave(actors, ("scatter_hits_pull",), ("gather_hits_hub",)))
-            partials = [r[0] for r in res if r[0] is not None]
-            merged = np.sum(partials, axis=0) if partials else None
-            total_h = float(sum(r[1] for r in res)) + (
-                float(merged.sum()) if merged is not None else 0.0
-            )
-            deltas = ray.get(
-                [
-                    a.finalize_hits_hub.remote(merged, total_h if normalize else 0.0)
-                    for a in actors
-                ]
-            )
-            self._record(
-                "hits", it, time.time() - t0,
-                {"edges": m_total, "l1_delta_h": float(sum(deltas))},
-                actors, (checkpoint_dir, fp, cols),
-            )
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        # the 1-norms and the salted hubs' h-partials are folded on every
+        # shard from all P gather results (csr.CsrShard.scale_hits_auth,
+        # finalize_hits_hub), so an iteration needs no driver barrier
+        self._supersteps(
+            actors, man, "hits", phases=[
+                (("scatter_hits_auth",), ("gather_hits_auth",)),
+                ("scale_hits_auth", normalize),
+                (("scatter_hits_pull",), ("gather_hits_hub",)),
+                ("finalize_hits_hub", normalize),
+            ],
+            max_iter=max_iter, init=("init_hits",),
+            summary=lambda res: {"edges": m_total, "l1_delta_h": float(sum(res))},
+            checkpoint=(checkpoint_dir, fp, cols), resume=resume,
+        )
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def katz(
         self,
@@ -745,17 +775,19 @@ class Graph:
         output_path: str | None = None,
         as_table: bool = False,
     ):
-        """Katz centrality through the CSR actor engine — the scale path
-        for ``pipelines.katz.katz_fixed`` (round-4 verdict #1: the derive
-        composition re-shuffles the full edge table 3× per iteration; this
-        runs one ghost-sized exchange per iteration, the PageRank-superstep
-        class). Same pinned fixed-point arithmetic: int64 micro-unit
-        scores, x' = β + (Σ_in w·x) // inv_alpha on non-negative operands,
-        bit-identical to ``katz_fixed`` (tested) and to the SQL-unroll
-        oracle. Expressed through the generic ``pregel`` hook with
-        ``halt="all"`` (synchronous full update — no-in-edge vertices
-        take β each round, matching the left-join COALESCE 0).
-        Returns (vid, katz_micro)."""
+        """Katz centrality (Katz 1953), fixed-point integer iteration:
+        x = β·1 + α·Aᵀx iterated from x⁰ = β·1, so each vertex's score sums
+        its in-neighbors' scores damped by α per hop. The arithmetic is
+        pinned as in ``svdpp_fixed``: int64 MICRO-unit scores, α =
+        1/inv_alpha with an integer inv_alpha, and x' = β + (Σ_in w·x) //
+        inv_alpha on non-negative operands (where DuckDB's truncating
+        ``//`` equals floor), so every iterate is exact integer state the
+        SQL-unroll oracle replays bit-identically. Overflow bound: Σ_in w·x
+        per vertex must stay below 2⁶³ (the caller's choice of inv_alpha
+        and iters). One ghost-sized exchange per iteration through the
+        generic ``pregel`` hook with ``halt="all"`` (synchronous full
+        update — no-in-edge vertices take β each round, matching the
+        oracle's left-join COALESCE 0). Returns (vid, katz_micro)."""
         inv = int(inv_alpha)
         beta = int(beta_micro)
         if inv <= 0:
@@ -1065,7 +1097,7 @@ class Graph:
             stop=lambda rec: rec["active_walks"] == 0, hub_state=(),
         )
         if as_table:
-            return self._collect(actors, "walk_rows_table", as_table=True)
+            return self._result_ds(actors, "walk_rows_table", as_table=True)
         return rd.read_parquet(rows_dir)
 
     def power_iteration_clustering(
@@ -1140,8 +1172,8 @@ class Graph:
                          {"joined": int(joined), "active": int(active)})
             if active == 0:
                 break
-        return self._collect(actors, "result_table_mis", output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "result_table_mis", output_path=output_path,
+                               as_table=as_table)
 
     def salsa(
         self,
@@ -1175,8 +1207,8 @@ class Graph:
             ray.get([a.finalize_salsa_hub.remote(merged) for a in actors])
             self._broadcast_hubs(actors, man)
             self._record("salsa", it, time.time() - t0, {})
-        return self._collect(actors, "state_table", {"hub": "val", "auth": "val_sa"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"hub": "val", "auth": "val_sa"},
+                               output_path=output_path, as_table=as_table)
 
     def maximal_matching(
         self,
@@ -1248,8 +1280,8 @@ class Graph:
             self._broadcast_hubs(actors, man)
             self._record("matching", r, time.time() - t0, {"active_edges": n_active},
                          actors, (checkpoint_dir, fp, cols))
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def louvain(
         self,
@@ -1344,8 +1376,8 @@ class Graph:
                          actors, (checkpoint_dir, fp, cols))
             if moved == 0:
                 break
-        return self._collect(actors, "state_table", cols, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "state_table", cols, output_path=output_path,
+                               as_table=as_table)
 
     def greedy_coloring(
         self,
@@ -1404,8 +1436,8 @@ class Graph:
                 f"max_colors={max_colors}; they carry color -1",
                 RuntimeWarning,
             )
-        return self._collect(actors, "state_table", {"color": "clr"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"color": "clr"},
+                               output_path=output_path, as_table=as_table)
 
     def pregel(
         self,
@@ -1488,8 +1520,8 @@ class Graph:
             checkpoint=(checkpoint_dir, fp, state), resume=resume,
             hub_state=tuple(state.values()),
         )
-        return self._collect(actors, "state_table", {"value": "val"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"value": "val"},
+                               output_path=output_path, as_table=as_table)
 
     def collect_neighbor_ids(self, *, direction: str = "out", num_partitions: int = 16):
         # GraphX leftZipJoin behavior when the graph has a vertex table:
@@ -1534,8 +1566,8 @@ class Graph:
         )
         self._broadcast_hubs(actors, man)  # the parent pass reads hub distances
         ray.get(self._wave(actors, ("scatter_parent",), ("gather_parent",)))
-        return self._collect(actors, "parent_table", output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "parent_table", output_path=output_path,
+                               as_table=as_table)
 
     def diameter_lower_bound(self, *, start: int | None = None) -> pa.Table:
         """Double-sweep BFS diameter lower bound (Magnien, Latapy & Habib
@@ -1683,8 +1715,8 @@ class Graph:
                 [fwd[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
             )
             rounds += 1
-        return self._collect(rev, "state_table", {"component": "scc_label"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(rev, "state_table", {"component": "scc_label"},
+                               output_path=output_path, as_table=as_table)
 
     def aggregate_messages(
         self,
@@ -1744,15 +1776,12 @@ class Graph:
         if as_table:
             tables = ray.get(self._wave(actors, scatter, ("gather_user", agg)))
             return pa.concat_tables([t for t in tables if t.num_rows] or tables[:1])
-        # results park in the actors; only non-empty parts write (an empty
-        # gather_user table carries a placeholder dtype that would clash
-        # in the read-back schema) — unless ALL are empty
+        # results park in the actors; only non-empty parts are collected
+        # (an empty gather_user table carries a placeholder dtype that
+        # would clash in the result's schema) — unless ALL are empty
         counts = ray.get(self._wave(actors, scatter, ("gather_user_store", agg)))
         parts = [p for p, c in enumerate(counts) if c] or [0]
-        return self._result_ds(
-            actors, "user_agg_table",
-            output_path=output_path, label="aggmsg", parts=parts,
-        )
+        return self._result_ds(actors, "user_agg_table", output_path=output_path, parts=parts)
 
     def shortest_paths(
         self,
@@ -1781,8 +1810,8 @@ class Graph:
                 init=("init_dist", lm),
             )
             ray.get([a.store_dist.remote(lm) for a in actors])
-        return self._collect(actors, "dist_table", lms, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "dist_table", lms, output_path=output_path,
+                               as_table=as_table)
 
     def betweenness_centrality(
         self,
@@ -1858,8 +1887,8 @@ class Graph:
             scale = 0.5
         if sampled:
             scale *= n_total / len(piv)
-        return self._collect(actors, "result_table_bc", scale, output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "result_table_bc", scale, output_path=output_path,
+                               as_table=as_table)
 
     def betweenness_fixed(
         self,
@@ -1912,8 +1941,8 @@ class Graph:
             ray.get([a.finish_bc_batch_fixed.remote() for a in actors])
             self._record("betweenness_fixed", i // batch, time.time() - t0,
                          {"pivots_done": min(i + batch, len(piv)), "depth": int(d)})
-        return self._collect(actors, "state_table", {"bc_fixed": "bc_acc_i"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"bc_fixed": "bc_acc_i"},
+                               output_path=output_path, as_table=as_table)
 
     def shortest_path_counts(
         self,
@@ -1942,8 +1971,8 @@ class Graph:
             summary=lambda res: {"reached": int(sum(res))},
             stop=lambda rec: rec["reached"] == 0, init=("init_bc", [int(source)], True),
         )
-        return self._collect(actors, "result_table_path_counts",
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "result_table_path_counts",
+                               output_path=output_path, as_table=as_table)
 
     def sssp_weighted(
         self,
@@ -1967,8 +1996,8 @@ class Graph:
             init=("init_dist", int(source)),
         )
         ray.get([a.store_dist.remote(int(source)) for a in actors])
-        return self._collect(actors, "dist_table", [int(source)], output_path=output_path,
-                             as_table=as_table, rename=["vid", "dist"])
+        return self._result_ds(actors, "dist_table", [int(source)], output_path=output_path,
+                               as_table=as_table, rename=["vid", "dist"])
 
     def widest_path(
         self,
@@ -1992,8 +2021,8 @@ class Graph:
             max_iter=_limit(max_iter), summary=_changed, stop=_settled,
             init=("init_width", int(source)),
         )
-        return self._collect(actors, "width_table", output_path=output_path,
-                             as_table=as_table)
+        return self._result_ds(actors, "width_table", output_path=output_path,
+                               as_table=as_table)
 
     def topo_layers(
         self,
@@ -2029,8 +2058,8 @@ class Graph:
                 "topo_layers: no fixpoint within |V| rounds — the graph "
                 "has a directed cycle (pass max_iter to pin rounds instead)"
             )
-        return self._collect(actors, "state_table", {"layer": "val"},
-                             output_path=output_path, as_table=as_table)
+        return self._result_ds(actors, "state_table", {"layer": "val"},
+                               output_path=output_path, as_table=as_table)
 
     def approx_distances(
         self,

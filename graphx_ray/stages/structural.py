@@ -577,10 +577,10 @@ def coreness(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        # per-part parquet → lazy read_parquet: the (vid, coreness) result
-        # never assembles on the driver (same Dataset-default discipline
-        # as Graph._result_ds)
-        res = g._result_ds(actors, "state_table", (cols,), label="coreness")
+        # the (vid, coreness) parts stay in the object store, owned by
+        # this driver, so they outlive g.close(); the result never
+        # assembles on the driver (Graph._result_ds)
+        res = g._result_ds(actors, "state_table", cols)
     finally:
         g.close()
     return res

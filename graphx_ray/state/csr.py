@@ -36,8 +36,10 @@ Design (idiomatic Ray, NOT a Spark port):
   per-vertex accumulator in ascending order, starting from
   ``_merge_identity``). The reverse pulls (HITS/SALSA hub half-steps,
   matching) expand pulled per-destination values with ``_per_edge``.
-  Checkpoints, results and walk rows all go through ``_write_parquet``
-  (tmp file + rename) and ``state_table``/``load_state``.
+  A result part is ``result_table`` (a table method, columns renamed
+  here), returned through the object store by default; checkpoint parts
+  (``state_table``/``load_state``), ``output_path`` results and walk rows
+  are written by ``_write_parquet`` (tmp file + rename).
 - The per-superstep "groupby-shuffle of messages by destination-vertex
   partition" is realised through the object store, in one of two routing
   modes (``route`` ctor arg, driven by ``Graph(scatter_route=...)``):
@@ -570,7 +572,10 @@ class CsrShard:
         self.val_a = self._combine(self._my_parts(sender_refs, j), "sum")
         return float(self.val_a.sum())
 
-    def scale_hits_auth(self, norm: float) -> None:
+    def scale_hits_auth(self, normalize: bool, *a_sums: float) -> None:
+        """Divide a by its 1-norm, Σ of every part's ``gather_hits_auth``
+        sum in part order."""
+        norm = float(sum(a_sums)) if normalize else 0.0
         if norm:
             self.val_a = self.val_a / norm
 
@@ -584,8 +589,9 @@ class CsrShard:
     def gather_hits_hub(self, sender_refs: list, j: int):
         """h(u) = Σ_{u→v} w·a(v): expand the pulled unique-dst a-values
         across this part's edge runs and reduce by OWN src. Hub-src
-        contributions return as a partial for the driver merge (a salted
-        hub's out-edges span parts, exactly like outdeg at staging)."""
+        contributions return as a partial that every shard merges in
+        ``finalize_hits_hub`` (a salted hub's out-edges span parts,
+        exactly like outdeg at staging)."""
         contrib = self._per_edge(self._my_parts(sender_refs, j), np.float64) * self.w
         h_new = np.zeros(self.n, np.float64)
         np.add.at(h_new, self.src_local, contrib[self.own_pos])
@@ -596,10 +602,17 @@ class CsrShard:
             np.add.at(hub_partial, self.hub_src_idx, contrib[self.hub_pos])
         return hub_partial, float(h_new.sum())
 
-    def finalize_hits_hub(self, hub_totals, norm: float) -> float:
-        """Install merged hub h-values (REPLACE, not add — every hub edge
-        contribution went through the partials), normalize, report the L1
-        h-delta."""
+    def finalize_hits_hub(self, normalize: bool, *pulled) -> float:
+        """Fold every part's ``gather_hits_hub`` output in part order: the
+        salted hubs' h-partials merge into their totals, which REPLACE
+        the owners' h (every hub edge contribution went through the
+        partials); normalize by the 1-norm and report the L1 h-delta."""
+        partials = [r[0] for r in pulled if r[0] is not None]
+        hub_totals = np.sum(partials, axis=0) if partials else None
+        total_h = float(sum(r[1] for r in pulled)) + (
+            float(hub_totals.sum()) if hub_totals is not None else 0.0
+        )
+        norm = total_h if normalize else 0.0
         h = self._h_pending
         if hub_totals is not None and len(self.hubs):
             own_mask = np.isin(self.owned, self.hubs)
@@ -2167,28 +2180,28 @@ class CsrShard:
         self.lpa_frozen = None
 
     def gather_user_store(self, sender_refs: list, j: int, agg: str) -> int:
-        """``gather_user`` with the result PARKED in the actor (fetched by
-        ``write_result``): the Dataset-default path of aggregate_messages
-        never ships per-part message tables through the driver."""
+        """``gather_user`` with the result PARKED in the actor (collected
+        through ``result_table``): the Dataset-default path of
+        aggregate_messages never ships per-part message tables through
+        the driver."""
         self._user_agg = self.gather_user(sender_refs, j, agg)
         return self._user_agg.num_rows
 
     def user_agg_table(self) -> pa.Table:
         return self._user_agg
 
-    def write_result(
-        self, path: str, method: str, args: list | None = None,
-        rename: list | None = None,
-    ) -> int:
-        """Atomic per-part parquet dump of any table method — every
-        checkpoint part, and the collection primitive behind every
-        algorithm's Dataset-default return (VERDICT r3 #2: the
-        per-part-parquet → read_parquet path is the default; O(V) driver
-        concat is the opt-in)."""
-        t = getattr(self, method)(*(args or []))
-        if rename:
-            t = t.rename_columns(rename)
-        return _write_parquet(t, path)
+    def result_table(self, method: str, args: list, rename: list | None = None) -> pa.Table:
+        """Table method ``method(*args)`` with its columns renamed: one part
+        of an algorithm's result, returned through the object store or
+        written by ``write_result``."""
+        t = getattr(self, method)(*args)
+        return t.rename_columns(rename) if rename else t
+
+    def write_result(self, path: str, method: str, args: list,
+                     rename: list | None = None) -> int:
+        """Atomic per-part parquet dump of ``result_table`` — every
+        checkpoint part, and a result's parts under ``output_path``."""
+        return _write_parquet(self.result_table(method, args, rename), path)
 
     def stats(self) -> dict:
         return {

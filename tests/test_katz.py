@@ -1,4 +1,5 @@
-"""Fixed-point Katz vs an exact integer simulation; float-limit sanity."""
+"""Fixed-point Katz (``Graph.katz``) vs an exact integer simulation;
+float-limit sanity."""
 
 import collections
 
@@ -6,10 +7,19 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from graphx_ray.pipelines.katz import katz_fixed
+from graphx_ray.pipelines.graph import Graph
 from oracles import fixture_graphs
 
 FIX = fixture_graphs()
+
+
+def katz(edges, *, num_parts, salt_threshold=None, **kw) -> pd.DataFrame:
+    """``Graph.katz`` on ``edges``, sorted by vid."""
+    g = Graph(edges, num_parts=num_parts, salt_threshold=salt_threshold)
+    try:
+        return g.katz(**kw).to_pandas().sort_values("vid").reset_index(drop=True)
+    finally:
+        g.close()
 
 
 def katz_oracle(edges_df, *, inv_alpha=8, iters=4, beta=1_000_000) -> pd.DataFrame:
@@ -23,7 +33,7 @@ def katz_oracle(edges_df, *, inv_alpha=8, iters=4, beta=1_000_000) -> pd.DataFra
             s[int(v)] += int(w) * x[int(u)]
         x = {v: beta + s[v] // inv_alpha for v in verts}
     return pd.DataFrame(
-        {"vid": verts, "katz_micro": [x[v] for v in verts]}
+        {"vid": verts, "katz_micro": [x[v] for v in verts]}, dtype=np.int64
     )
 
 
@@ -32,14 +42,8 @@ def katz_oracle(edges_df, *, inv_alpha=8, iters=4, beta=1_000_000) -> pd.DataFra
 )
 def test_katz_matches_oracle(name, ray_session):
     edges, _ = FIX[name]
-    got = (
-        katz_fixed(edges, inv_alpha=8, iters=4, num_parts=3)
-        .to_pandas()
-        .sort_values("vid")
-        .reset_index(drop=True)
-    )
-    want = katz_oracle(edges)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    got = katz(edges, inv_alpha=8, iters=4, num_parts=3)
+    pd.testing.assert_frame_equal(got, katz_oracle(edges))
 
 
 def test_katz_approaches_float_limit(ray_session):
@@ -47,14 +51,13 @@ def test_katz_approaches_float_limit(ray_session):
     rounding step per iteration of the float recurrence."""
     edges, _ = FIX["ring_n"]
     iters = 6
-    got = katz_fixed(edges, inv_alpha=8, iters=iters, num_parts=2).to_pandas()
+    got = katz(edges, inv_alpha=8, iters=iters, num_parts=2)
     xf = np.full(12, 1.0)
     for _ in range(iters):
         nxt = np.full(12, 1.0)
         for u, v in zip(edges["src"], edges["dst"]):
             nxt[int(v)] += xf[int(u)] / 8.0
         xf = nxt
-    got = got.sort_values("vid").reset_index(drop=True)
     assert np.allclose(got["katz_micro"].to_numpy() / 1e6, xf, atol=iters * 1e-6)
 
 
@@ -62,29 +65,12 @@ def test_katz_approaches_float_limit(ray_session):
     "name", ["two_cliques_bridge", "ring_n", "star_hub", "parallel_self", "random_multi"]
 )
 def test_katz_engine_bit_parity(name, ray_session):
-    """Round-5: Graph.katz (CSR engine, one exchange/iter) is bit-identical
-    to the katz_fixed derive composition on every fixture."""
-    from graphx_ray.pipelines.graph import Graph
-
+    """Graph.katz is bit-identical across partition counts (one shard,
+    three) and equal to the exact integer simulation."""
     edges, _ = FIX[name]
-    g = Graph(edges, num_parts=3)
-    try:
-        got = (
-            g.katz(inv_alpha=8, iters=4)
-            .to_pandas()
-            .sort_values("vid")
-            .reset_index(drop=True)
-        )
-    finally:
-        g.close()
-    want = (
-        katz_fixed(edges, inv_alpha=8, iters=4, num_parts=3)
-        .to_pandas()
-        .sort_values("vid")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want)
-    pd.testing.assert_frame_equal(got, katz_oracle(edges), check_dtype=False)
+    got = katz(edges, inv_alpha=8, iters=4, num_parts=3)
+    pd.testing.assert_frame_equal(got, katz(edges, inv_alpha=8, iters=4, num_parts=1))
+    pd.testing.assert_frame_equal(got, katz_oracle(edges))
 
 
 def test_katz_engine_salted_hub_parity(ray_session):
@@ -92,16 +78,8 @@ def test_katz_engine_salted_hub_parity(ray_session):
     from graphx_ray.pipelines.graph import Graph
 
     edges, _ = FIX["star_hub"]
-    outs = []
-    for thr in (None, 2):  # threshold 2 splits the star's hub
-        g = Graph(edges, num_parts=3, salt_threshold=thr)
-        try:
-            outs.append(
-                g.katz(inv_alpha=8, iters=4)
-                .to_pandas()
-                .sort_values("vid")
-                .reset_index(drop=True)
-            )
-        finally:
-            g.close()
+    # threshold 2 splits the star's hub
+    outs = [katz(edges, inv_alpha=8, iters=4, num_parts=3, salt_threshold=thr)
+            for thr in (None, 2)]
     pd.testing.assert_frame_equal(outs[0], outs[1])
+    pd.testing.assert_frame_equal(outs[1], katz_oracle(edges))

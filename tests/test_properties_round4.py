@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from graphx_ray.functions.bpe import bpe_train
-from graphx_ray.pipelines.katz import katz_fixed
+from graphx_ray.pipelines.graph import Graph
 from graphx_ray.pipelines.linkpred import link_prediction
 
 edge_lists = st.lists(
@@ -93,10 +93,12 @@ def test_bpe_property(words):
 @SET
 def test_katz_property(edges, inv_alpha):
     df = pd.DataFrame(edges, columns=["src", "dst", "w"])
-    got = (
-        katz_fixed(df, inv_alpha=inv_alpha, iters=3, num_parts=2)
-        .to_pandas().sort_values("vid").reset_index(drop=True)
-    )
+    g = Graph(df, num_parts=2)
+    try:
+        got = g.katz(inv_alpha=inv_alpha, iters=3).to_pandas()
+    finally:
+        g.close()
+    got = got.sort_values("vid").reset_index(drop=True)
     verts = sorted({s for s, _, _ in edges} | {d for _, d, _ in edges})
     x = {v: 1_000_000 for v in verts}
     for _ in range(3):
@@ -104,5 +106,5 @@ def test_katz_property(edges, inv_alpha):
         for u, v, w in edges:
             s[v] += w * x[u]
         x = {v: 1_000_000 + s[v] // inv_alpha for v in verts}
-    assert got["vid"].tolist() == verts
-    assert got["katz_micro"].tolist() == [x[v] for v in verts]
+    want = pd.DataFrame({"vid": verts, "katz_micro": [x[v] for v in verts]}, dtype=np.int64)
+    pd.testing.assert_frame_equal(got, want)
