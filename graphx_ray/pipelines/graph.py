@@ -16,30 +16,33 @@ was empty, so Appendix A is the contract the north_rule binds to):
 
 Iterative algorithms run over ``CsrShard`` partitions: scatter
 (per-destination-partition pre-aggregated partials) → ref-routed shuffle
-through the object store → gather. Every algorithm built from exchanges
-over one view (PageRank and its tol/personalized/parallel variants, CC,
-LPA and seeded LPA, ``pregel`` with everything built on it, HITS, the
-BFS/shortest-path/widest-path/topo-layer fixpoints, path counts and the
-walks) runs on ONE loop, ``Graph._supersteps``. A superstep is a list of
-phases — exchanges, and per-shard calls that take the previous phase's
-P results as arguments (HITS folds its norms and hub partials that
-way). The loop owns the resume start, the salted-hub broadcast before
-each superstep, the dispatch window, one metrics.jsonl record per
-superstep, the per-superstep checkpoint (resume replays from the last
-complete manifest) and the stop test on the gather results.
+through the object store → gather. Every iterative algorithm runs on ONE
+loop, ``Graph._supersteps``, and no exchange is dispatched anywhere but
+``Graph._superstep``. A superstep is a list of phases — exchanges, and
+per-shard calls, some of which fold the previous phase's P results on
+every shard (HITS and SALSA sum their norms and hub partials that way,
+matching tuple-max-merges its hub bests); a function of the iteration
+gives each superstep its own list (the walks, Brandes' levels, matching
+and MIS rounds). The loop owns the resume start, the salted-hub sync at
+the start of each superstep (every shard merges the owners' hub values
+itself, ``_hub_sync``), the dispatch window, one metrics.jsonl record
+per superstep, the per-superstep checkpoint (resume replays from the
+last complete manifest) and the stop test on the gather results.
+Algorithms made of several fixpoints nest ``_supersteps`` calls in a
+driver loop, as ``shortest_paths`` loops over landmarks: greedy coloring
+runs one MIS per color, SCC its trim, color and reach fixpoints per
+round, Brandes a forward and a backward pass per pivot batch.
 
 The window rule: up to 4 supersteps are dispatched per driver barrier
 (an actor runs its calls in submission order, so superstep k+1 queues
-behind superstep k), unless the call stops on a gather result or runs on
-a graph with salted hubs — those need the driver after every superstep,
-so their window is 1. A checkpoint keeps the window: every shard's part
-write for superstep k is queued right after it, and the manifests are
-written after the barrier, in order. The multi-exchange drivers (SALSA,
-MIS, coloring, matching, Louvain, SCC, betweenness) keep their own loops
-but share the hub broadcast (``_broadcast_hubs``), the record/checkpoint
-step (``_record``) and the result collection (``_result_ds``: the
-shards' result tables stay in the object store and become a Dataset
-through ``rd.from_arrow_refs``).
+behind superstep k), unless the call stops on a gather result — that
+needs the driver after every superstep, so its window is 1. Salted hubs
+keep the window: their sync is two phases of the superstep. A checkpoint
+keeps the window too: every shard's part write for superstep k is
+queued right after it, and the manifests are written after the barrier,
+in order. Results are collected by ``_result_ds``: the shards' result
+tables stay in the object store and become a Dataset through
+``rd.from_arrow_refs``.
 
 One host per partition. A Graph runs on P ``csr.ShardHost`` actors,
 whatever its algorithms use: ``_pool(variant)`` stages the directed edges
@@ -105,6 +108,14 @@ def _changed(res: list) -> dict:
 
 def _settled(rec: dict) -> bool:
     return rec["changed"] == 0
+
+
+def _mis_summary(res: list) -> dict:
+    return {"in_mis": int(sum(r[0] for r in res)), "active": int(sum(r[1] for r in res))}
+
+
+def _mis_done(rec: dict) -> bool:
+    return rec["active"] == 0
 
 
 def _get_all(nested: list) -> list:
@@ -270,19 +281,13 @@ class Graph:
         if variant != "directed":
             man["hubs"] = self._derive(variant).tolist()
         actors = [_View(h, variant) for h in self._hosts]
-        # one-time ghost index exchange: receiver j caches local indices of
-        # every sender's unique destinations
-        uniq = ray.get([a.uniq_dsts.remote() for a in actors])  # P lists of P refs
-        ray.get(
-            [
-                actors[j].cache_ghost_locals.remote([uniq[i][j] for i in range(self.P)])
-                for j in range(self.P)
-            ]
-        )
+        # one-time ghost index exchange: receiver j caches the local
+        # indices of every sender's unique destinations; on a salted view
+        # every shard then sums the hubs' out-degree partials
+        setup = [(("uniq_dsts",), ("cache_ghost_locals",))]
         if man["hubs"]:
-            partials = ray.get([a.hub_outdeg_part.remote() for a in actors])
-            hub_outdeg = np.sum(partials, axis=0)
-            ray.get([a.set_hub_outdeg.remote(hub_outdeg) for a in actors])
+            setup += [("hub_outdeg_part",), ("set_hub_outdeg", ...)]
+        ray.get(self._superstep(actors, setup))
         self._actors[variant] = (actors, man)
         return actors, man
 
@@ -299,9 +304,10 @@ class Graph:
         ray.get([h.build_view.remote(variant, hubs, moved) for h in hosts])
         return hubs
 
-    def _scatter(self, actors, method: str, *args) -> list:
-        """Dispatch one scatter wave and return per-receiver ref lists:
-        out[j] is what receiver j's gather takes as ``sender_refs``.
+    def _wave(self, actors, scatter: tuple, gather: tuple) -> list:
+        """Dispatch one exchange: ``scatter`` = (method, *args) on every
+        shard, then ``gather`` = (method, *args) on each receiver j with
+        its routed refs and j. Returns the gather refs (no barrier).
 
         "packed": each sender returns ONE object of P partials — every
         receiver gets the same ref list and slices its partition.
@@ -312,41 +318,28 @@ class Graph:
         # there, so fall back to packed (ADVICE r3)
         if self.route == "per_dest" and self.P > 1:
             futs = [
-                getattr(a, method).options(num_returns=self.P).remote(*args)
+                getattr(a, scatter[0]).options(num_returns=self.P).remote(*scatter[1:])
                 for a in actors
             ]
-            return [[futs[i][j] for i in range(self.P)] for j in range(self.P)]
-        futs = [getattr(a, method).remote(*args) for a in actors]
-        return [futs] * self.P
-
-    def _wave(self, actors, scatter: tuple, gather: tuple) -> list:
-        """Dispatch one exchange: ``scatter`` = (method, *args) on every
-        shard, then ``gather`` = (method, *args) on each receiver j with
-        its routed refs and j. Returns the gather refs (no barrier)."""
-        routed = self._scatter(actors, scatter[0], *scatter[1:])
+            routed = [[futs[i][j] for i in range(self.P)] for j in range(self.P)]
+        else:
+            routed = [[getattr(a, scatter[0]).remote(*scatter[1:]) for a in actors]] * self.P
         return [
             getattr(actors[j], gather[0]).remote(routed[j], j, *gather[1:])
             for j in range(self.P)
         ]
 
-    def _broadcast_hubs(self, actors, man, names=("val",)) -> list | None:
-        """Ship the salted hubs' current ``names`` vectors (shard
-        attributes) from their owners to every shard, which installs them
-        as ``hub_<name>``: a hub's out-edges span all shards, so every
-        scatter reads the hub's value from its local replica. Returns the
-        merged vectors, aligned to the manifest's sorted hubs."""
-        if not man.get("hubs"):
-            return None
-        hubs = np.asarray(man["hubs"], dtype=np.int64)  # sorted by _pool
-        parts = ray.get([a.hub_state.remote(list(names)) for a in actors])
-        vids_all = np.concatenate([p[0] for p in parts])
-        order = np.argsort(vids_all)
-        if not np.array_equal(vids_all[order], hubs):
-            raise RuntimeError("hub vertices missing from vertex universe")
-        # dtype-preserving (float rank / int label / bool flag)
-        merged = [np.concatenate([p[1][k] for p in parts])[order] for k in range(len(names))]
-        ray.get([a.set_hub_state.remote(list(names), merged) for a in actors])
-        return merged
+    @staticmethod
+    def _hub_sync(man, names=("val",)) -> list:
+        """The two phases that give every shard the salted hubs' current
+        ``names`` vectors (shard attributes) as ``hub_<name>``: each shard
+        returns the hubs it owns (``hub_state``), and every shard merges
+        all P parts by vid (``set_hub_state``). A hub's out-edges span all
+        shards, so every scatter reads the hub's value from its local
+        replica. No phases on a view without salted hubs."""
+        if not man.get("hubs") or not names:
+            return []
+        return [("hub_state", list(names)), ("set_hub_state", list(names), ...)]
 
     def _result_ds(
         self, actors, method: str, *args, output_path: str | None = None,
@@ -433,38 +426,52 @@ class Graph:
             self._checkpoint(actors, checkpoint[0], it, checkpoint[1], checkpoint[2], rec)
         return rec
 
-    def _superstep(self, actors, phases: list, n: tuple) -> list:
-        """Dispatch one superstep's ``phases`` with no barrier. Returns
-        every phase's P result refs, phase after phase, in one list."""
+    def _superstep(self, actors, phases: list) -> list:
+        """Dispatch ``phases`` with no barrier. Returns every phase's P
+        result refs, phase after phase, in one list.
+
+        - An exchange is (scatter, gather), each (shard method, *args).
+        - A call is (method, *args) on every shard; a trailing ``...``
+          stands for the previous phase's P result refs, which Ray
+          resolves to values on the shard — a fold, such as a sum every
+          shard computes for itself.
+        - (handles, phase) runs the phase on those handles instead of
+          ``actors``: another view of the same hosts, or the hosts."""
         refs, prev = [], []
         for phase in phases:
-            if isinstance(phase[0], str):  # a call on the previous phase's results
-                prev = [getattr(a, phase[0]).remote(*phase[1:], *n, *prev) for a in actors]
+            on = actors
+            if isinstance(phase[0], list):
+                on, phase = phase
+            if isinstance(phase[0], str):
+                args = phase[1:]
+                if args and args[-1] is ...:
+                    args = args[:-1] + tuple(prev)
+                prev = [getattr(a, phase[0]).remote(*args) for a in on]
             else:
-                prev = self._wave(actors, phase[0] + n, phase[1] + n)
+                prev = self._wave(on, phase[0], phase[1])
             refs += prev
         return refs
 
     def _supersteps(
         self, actors, man, algo: str, scatter: tuple = (), gather: tuple = (), *,
-        phases: list | None = None, max_iter: int, summary, stop=None,
-        init: tuple | None = None, first: int = 0, checkpoint: tuple | None = None,
-        resume: bool = False, hub_state: tuple = ("val",), numbered: bool = False,
+        phases=None, max_iter: int, summary, stop=None,
+        init: tuple | list | None = None, first: int = 0, checkpoint: tuple | None = None,
+        resume: bool = False, hub_state: tuple = ("val",),
     ) -> dict | None:
         """The superstep loop of every algorithm built from exchanges.
 
         - A superstep runs ``phases``, by default the one exchange
-          ``(scatter, gather)``. A phase is an exchange — (scatter,
+          ``(scatter, gather)``; a function of the iteration gives each
+          superstep its own list. A phase is an exchange — (scatter,
           gather), each (shard method, *args); every gather also gets its
-          ref list and its part — or a per-shard call (method, *args),
-          which also gets the previous phase's P result refs as arguments
-          (Ray resolves them to values on the shard). ``numbered``
-          appends the iteration to every argument list.
+          ref list and its part — or a per-shard call; see ``_superstep``.
         - Start: with ``resume``, the newest complete checkpoint of
           ``checkpoint`` = (dir, fingerprint, cols); otherwise iteration
-          ``first``, after every shard runs ``init`` = (method, *args).
-        - Before each superstep on a salted graph the ``hub_state``
-          vectors are broadcast (an empty tuple skips it).
+          ``first``, after the ``init`` phases (one call, or a list of
+          phases) ran on every shard.
+        - On a salted graph every superstep starts with the hub sync of
+          the ``hub_state`` vectors (an empty tuple skips it; a driver
+          that syncs mid-superstep places ``_hub_sync`` phases itself).
         - ``summary(last phase's results)`` gives the superstep's metrics
           fields; each superstep writes one metrics.jsonl record and,
           with a checkpoint dir, one checkpoint.
@@ -477,18 +484,18 @@ class Graph:
         superstep's last phase, so it holds exactly that superstep's
         state; after the barrier the manifests follow in iteration order,
         each once all its parts exist, and a kill mid-window resumes from
-        the newest complete one. A stop test or salted hubs need the
-        driver after every superstep: window 1 there. Returns the last
-        record (None when no superstep ran)."""
-        phases = phases or [(scatter, gather)]
+        the newest complete one. A stop test needs the driver after every
+        superstep: window 1 there. Returns the last record (None when no
+        superstep ran)."""
+        step = phases if callable(phases) else (lambda it: phases or [(scatter, gather)])
         ckpt_dir, fp, cols = checkpoint or (None, None, None)
         start = self._resume(actors, ckpt_dir, fp, cols) if resume else 0
         if start == 0:
             start = first
             if init:
-                ray.get([getattr(a, init[0]).remote(*init[1:]) for a in actors])
-        salted = bool(man.get("hubs"))
-        window = 1 if (stop or salted) else 4
+                ray.get(self._superstep(actors, init if isinstance(init, list) else [init]))
+        sync = self._hub_sync(man, hub_state)
+        window = 1 if stop else 4
         rec = None
         it = start
         while it < max_iter:
@@ -496,9 +503,7 @@ class Graph:
             t0 = time.time()
             steps, rows = [], []
             for k in range(w):
-                if salted and hub_state:
-                    self._broadcast_hubs(actors, man, hub_state)
-                steps.append(self._superstep(actors, phases, (it + k,) if numbered else ()))
+                steps.append(self._superstep(actors, sync + step(it + k)))
                 if ckpt_dir:
                     rows.append(self._checkpoint_parts(actors, ckpt_dir, it + k, cols))
             got = _get_all(steps + rows)
@@ -753,9 +758,9 @@ class Graph:
         self._supersteps(
             actors, man, "hits", phases=[
                 (("scatter_hits_auth",), ("gather_hits_auth",)),
-                ("scale_hits_auth", normalize),
+                ("scale_hits_auth", normalize, ...),
                 (("scatter_hits_pull",), ("gather_hits_hub",)),
-                ("finalize_hits_hub", normalize),
+                ("finalize_hits_hub", normalize, ...),
             ],
             max_iter=max_iter, init=("init_hits",),
             summary=lambda res: {"edges": m_total, "l1_delta_h": float(sum(res))},
@@ -1013,8 +1018,8 @@ class Graph:
 
         Walk state lives with a shard holding its current vertex's
         adjacency (the owner; for salted hubs, a draw-hash-spread shard —
-        every shard holds the one-time merged hub-adjacency broadcast, see
-        ``_broadcast_walk_hub_adj``); each step exchanges constant-size
+        every shard holds the merged hub adjacency, see
+        ``CsrShard.set_walk_hub_adj``); each step exchanges constant-size
         (start, walk, next) packs — O(active walks) traffic, never
         graph-sized. Returns a Dataset of (start_vid, walk, step, vid)
         rows, one per visited position."""
@@ -1047,8 +1052,8 @@ class Graph:
         ``random_walks``.
 
         Walk state lives with a shard holding its current vertex's
-        adjacency (salted hubs: draw-hash-spread over the one-time hub
-        broadcast, see ``_broadcast_walk_hub_adj``); each step exchanges
+        adjacency (salted hubs: draw-hash-spread over the merged hub
+        adjacency, see ``CsrShard.set_walk_hub_adj``); each step exchanges
         (start, walk, next, prev, N(prev)) packs — O(deg(prev)) payload
         per walk, the standard distributed-node2vec tradeoff (no second
         membership-probe exchange). A hub prev ships an EMPTY sentinel
@@ -1078,7 +1083,12 @@ class Graph:
         walks; superstep t (1..length) runs ``scatter(t)`` and
         ``gather(.., t)`` until no walk is alive."""
         actors, man = self._pool("directed")
-        self._broadcast_walk_hub_adj(actors, man)
+        if man["hubs"]:
+            # the hub adjacency is static: every shard merges the slices
+            # once, so any shard resolves a hub-resident draw
+            ray.get(self._superstep(
+                actors, [("walk_hub_adj_slice",), ("set_walk_hub_adj", ...)]
+            ))
         # Dataset mode streams visit rows to per-(part, step) parquet as the
         # walks advance — actor memory stays O(active walks), never
         # O(walks × length); as_table buffers in-actor (small graphs only).
@@ -1091,8 +1101,8 @@ class Graph:
             shutil.rmtree(rows_dir, ignore_errors=True)  # no stale part leak-in
         alive = sum(ray.get([getattr(a, init[0]).remote(*init[1:], rows_dir) for a in actors]))
         self._supersteps(
-            actors, man, algo, (scatter,), (gather,),
-            first=1, max_iter=length + 1 if alive else 1, numbered=True,
+            actors, man, algo, phases=lambda t: [((scatter, t), (gather, t))],
+            first=1, max_iter=length + 1 if alive else 1,
             summary=lambda res: {"active_walks": int(sum(res))},
             stop=lambda rec: rec["active_walks"] == 0, hub_state=(),
         )
@@ -1118,25 +1128,19 @@ class Graph:
         emb = _pic_embedding(self, iters=iters, scale_micro=scale_micro)
         return _int_kmeans_1d(emb, k=k, iters=kmeans_iters)
 
-    def _broadcast_walk_hub_adj(self, actors, man) -> None:
-        """One-time hub-adjacency broadcast for the walk family (round-5,
-        lifting the round-4 unsalted-hub restriction): merge each shard's
-        aggregated slice of the salted hub adjacency (a (hub, dst) pair
-        lives in exactly one shard — dst-hash routing), sort by
-        (hub, dst) — exactly the unsalted per-vertex dst-sorted order —
-        and ship ONE ``ray.put`` object every shard adopts. Hub-resident
-        draws then resolve on whichever shard holds the walk; results are
-        bit-identical to an unsalted build (tested). The adjacency is
-        static, so this runs once per walk call, not per superstep."""
-        if not man.get("hubs"):
-            return
-        slices = ray.get([a.walk_hub_adj_slice.remote() for a in actors])
-        hidx = np.concatenate([s[0] for s in slices])
-        hdst = np.concatenate([s[1] for s in slices])
-        hw = np.concatenate([s[2] for s in slices]).astype(np.uint64)
-        order = np.lexsort((hdst, hidx))
-        ref = ray.put((hidx[order], hdst[order], hw[order]))
-        ray.get([a.set_walk_hub_adj.remote(ref) for a in actors])
+    def _mis_round(self, man, base: int):
+        """Round r of a deterministic Luby MIS as phases: active vertices
+        stage p(v) = mix64(mix64(base ^ r) ^ v) and join iff strictly
+        above every active neighbor, then MIS neighbors deactivate. Both
+        exchanges ride the max-merge label scatter; the salted hubs'
+        staged values are synced before each."""
+        sync = self._hub_sync(man)
+        return lambda r: [
+            ("mis_stage_priority", base, r), *sync,
+            (("scatter_max",), ("gather_mis_join",)),
+            ("mis_stage_flag",), *sync,
+            (("scatter_max",), ("gather_mis_out",)),
+        ]
 
     def maximal_independent_set(
         self,
@@ -1153,25 +1157,13 @@ class Graph:
         neither joins; next round's fresh priorities break them); MIS
         neighbors deactivate. Two max-merge exchanges per round over the
         existing label scatter — ghost-sized traffic, salted hubs ride the
-        ordinary hub broadcast. O(log n) rounds w.h.p. Returns a Dataset
+        ordinary hub sync. O(log n) rounds w.h.p. Returns a Dataset
         of (vid, in_mis ∈ {0,1}) covering the whole vertex universe."""
-        from graphx_ray.ids import mix64 as _mix
-
         actors, man = self._pool("undirected")
-        ray.get([a.init_mis.remote() for a in actors])
-        for r in range(max_rounds):
-            t0 = time.time()
-            c = int(_mix(np.uint64(seed) ^ np.uint64(r)))
-            ray.get([a.mis_stage_priority.remote(c) for a in actors])
-            self._broadcast_hubs(actors, man)
-            joined = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_join",))))
-            ray.get([a.mis_stage_flag.remote() for a in actors])
-            self._broadcast_hubs(actors, man)
-            active = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_out",))))
-            self._record("mis", r, time.time() - t0,
-                         {"joined": int(joined), "active": int(active)})
-            if active == 0:
-                break
+        self._supersteps(
+            actors, man, "mis", phases=self._mis_round(man, seed), max_iter=max_rounds,
+            summary=_mis_summary, stop=_mis_done, init=("init_mis",), hub_state=(),
+        )
         return self._result_ds(actors, "result_table_mis", output_path=output_path,
                                as_table=as_table)
 
@@ -1191,22 +1183,19 @@ class Graph:
         Per iteration: auth a(v) = Σ floor(w·h(u)/outdeg(u)) (the
         PR-shaped forward scatter), hub h(u) = Σ floor(w·a(v)/indeg(v))
         (the HITS reverse pull; indeg(dst) cached per edge once at init).
-        Returns (vid, hub, auth)."""
+        The salted hubs' h-partials are summed on every shard
+        (``finalize_salsa_hub``). Returns (vid, hub, auth)."""
         actors, man = self._pool("directed")  # installs the merged hub outdeg
-        ray.get([a.init_salsa.remote(scale) for a in actors])
-        # one-time indeg exchange + static per-edge indeg cache
-        ray.get(self._wave(actors, ("scatter_salsa_indeg",), ("gather_salsa_indeg",)))
-        ray.get(self._wave(actors, ("pull_salsa_indeg",), ("cache_salsa_indeg",)))
-        self._broadcast_hubs(actors, man)  # h of salted hubs
-        for it in range(iters):
-            t0 = time.time()
-            ray.get(self._wave(actors, ("scatter_salsa_auth",), ("gather_salsa_auth",)))
-            parts = ray.get(self._wave(actors, ("scatter_salsa_pull",), ("gather_salsa_hub",)))
-            partials = [p for p in parts if p is not None]
-            merged = np.sum(partials, axis=0) if partials else None
-            ray.get([a.finalize_salsa_hub.remote(merged) for a in actors])
-            self._broadcast_hubs(actors, man)
-            self._record("salsa", it, time.time() - t0, {})
+        self._supersteps(
+            actors, man, "salsa", max_iter=iters, summary=lambda res: {},
+            # one-time indeg exchange + static per-edge indeg cache
+            init=[("init_salsa", scale),
+                  (("scatter_salsa_indeg",), ("gather_salsa_indeg",)),
+                  (("pull_salsa_indeg",), ("cache_salsa_indeg",))],
+            phases=[(("scatter_salsa_auth",), ("gather_salsa_auth",)),
+                    (("scatter_salsa_pull",), ("gather_salsa_hub",)),
+                    ("finalize_salsa_hub", ...)],
+        )
         return self._result_ds(actors, "state_table", {"hub": "val", "auth": "val_sa"},
                                output_path=output_path, as_table=as_table)
 
@@ -1227,59 +1216,30 @@ class Graph:
         p = (mix64(mix64(C_r ^ cu) ^ cv) >> 1) + 1, C_r = mix64(seed ^ r),
         and joins iff its tuple is the lexicographic max at BOTH
         endpoints; matched vertices deactivate their edges. Two
-        ghost-sized reverse pulls per round; the round's globally-max
-        active edge always wins, so the loop terminates (expected
-        O(log m) rounds). Returns (vid, partner) with partner = −1 for
-        unmatched vertices."""
-        from graphx_ray.ids import mix64 as _mix
-
+        ghost-sized reverse pulls per round, each followed by a fold of
+        the salted hubs' partials on every shard; the round's
+        globally-max active edge always wins, so the loop terminates
+        (expected O(log m) rounds). Returns (vid, partner) with
+        partner = −1 for unmatched vertices."""
         actors, man = self._pool("undirected")
+        # the static edge tuples are rebuilt on every run; resume only
+        # restores the partner vector
         ray.get([a.init_matching.remote() for a in actors])
-        hubs = np.asarray(man.get("hubs", []), dtype=np.int64)
-        fp = self._fingerprint("matching", {"seed": seed}, man)
         cols = {"partner": "val"}
-        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
-        self._broadcast_hubs(actors, man)  # partner state of salted hubs
-        for r in range(start, max_rounds):
-            t0 = time.time()
-            c = int(_mix(np.uint64(seed) ^ np.uint64(r)))
-            actives = ray.get(
-                self._wave(actors, ("match_pull_flags",), ("match_stage_priorities", c))
-            )
-            n_active = int(sum(actives))
-            if n_active == 0:
-                break
-            if len(hubs):
-                # tuple-max merge of the per-shard hub best partials
-                parts = [
-                    p for p in ray.get([a.match_hub_best_partial.remote() for a in actors])
-                    if p is not None
-                ]
-                hp = np.zeros(len(hubs), np.uint64)
-                hu = np.full(len(hubs), -1, np.int64)
-                hv = np.full(len(hubs), -1, np.int64)
-                for bp, bu, bv in parts:
-                    better = (bp > hp) | (
-                        (bp == hp) & ((bu > hu) | ((bu == hu) & (bv > hv)))
-                    )
-                    hp[better], hu[better], hv[better] = bp[better], bu[better], bv[better]
-                ray.get([a.match_install_hub_best.remote(hp, hu, hv) for a in actors])
-            hub_parts = ray.get(self._wave(actors, ("match_pull_best",), ("match_resolve",)))
-            if len(hubs):
-                pairs = [p for p in hub_parts if p is not None]
-                if pairs:
-                    idx = np.concatenate([p[0] for p in pairs])
-                    ptn = np.concatenate([p[1] for p in pairs])
-                    order = np.argsort(idx)  # winners are disjoint per hub
-                    ray.get(
-                        [
-                            a.match_install_hub_partners.remote(idx[order], ptn[order])
-                            for a in actors
-                        ]
-                    )
-            self._broadcast_hubs(actors, man)
-            self._record("matching", r, time.time() - t0, {"active_edges": n_active},
-                         actors, (checkpoint_dir, fp, cols))
+        self._supersteps(
+            actors, man, "matching", max_iter=max_rounds,
+            phases=lambda r: [
+                (("match_pull_flags",), ("match_stage_priorities", seed, r)),
+                ("match_install_hub_best", ...),
+                (("match_pull_best",), ("match_resolve",)),
+                ("match_install_hub_partners", ...),
+            ],
+            summary=lambda res: {"active_edges": int(sum(res))},
+            stop=lambda rec: rec["active_edges"] == 0,
+            checkpoint=(checkpoint_dir, self._fingerprint("matching", {"seed": seed}, man),
+                        cols),
+            resume=resume,
+        )
         return self._result_ds(actors, "state_table", cols, output_path=output_path,
                                as_table=as_table)
 
@@ -1304,78 +1264,35 @@ class Graph:
         view multilevel contraction feeds back in.
 
         Per round (all exact int64, valid while 2m·k_max < 2^63):
-        vol-up/vol-down community-volume exchange keyed by owner(C) =
-        part_of(C), then one LPA-shaped move scatter carrying
-        (label, vol(label), singleton-flag). Each vertex argmaxes
+        vol-up/vol-down community-volume exchanges keyed by owner(C) =
+        part_of(C) (vol-down also carries the salted hubs' community
+        volumes to every shard), then one LPA-shaped move scatter
+        carrying (label, vol(label), singleton-flag). Each vertex argmaxes
         Δ̂(B) = 2m·w(v→B) − k·vol′(B) over neighbor communities, ties →
         smallest B, moves iff Δ̂(B) > Δ̂(stay), with the singleton
         swap-guard: a singleton joins a singleton only when the target id
         is smaller (kills the classic synchronous two-cycle). Stops early
         when a round moves nothing. Returns (vid, community)."""
-        from graphx_ray.ids import part_of as _part_of
-
         variant = "undirected_weighted" if weighted else "undirected"
         actors, man = self._pool(variant)
-        hub_k = None
-        if man.get("hubs"):
-            partials = ray.get([a.hub_outdeg_part.remote() for a in actors])
-            hub_k = np.rint(np.sum(partials, axis=0)).astype(np.int64)
-        ray.get([a.init_louvain.remote() for a in actors])
-        two_m = sum(ray.get([a.louvain_two_m_part.remote() for a in actors]))
-        hubs = np.asarray(man.get("hubs", []), dtype=np.int64)
-        # static louvain state (lv_k, w_eff) is rebuilt by init; resume
-        # only restores the label vector (the LPA rule: max_rounds stays
-        # OUT of the fingerprint — a run interrupted at round k resumes
-        # into a longer run; converged rounds are no-ops, so resuming
-        # past convergence is bit-identical)
-        fp = self._fingerprint("louvain", {"weighted": weighted}, man)
+        # static louvain state (lv_k, w_eff) is rebuilt on every run;
+        # resume only restores the label vector (the LPA rule: max_rounds
+        # stays OUT of the fingerprint — a run interrupted at round k
+        # resumes into a longer run; converged rounds are no-ops, so
+        # resuming past convergence is bit-identical)
+        two_m = sum(ray.get([a.init_louvain.remote() for a in actors]))
         cols = {"community": "val"}
-        start = self._resume(actors, checkpoint_dir, fp, cols) if resume else 0
-
-        for r in range(start, max_rounds):
-            t0 = time.time()
-            # community-volume exchange (vol-up, vol-down)
-            routed = self._scatter(actors, "louvain_vol_scatter")
-            if self.route == "per_dest" and self.P > 1:
-                gf = [
-                    actors[j].louvain_vol_gather.options(num_returns=self.P)
-                    .remote(routed[j], j)
-                    for j in range(self.P)
-                ]
-                reply = [[gf[j][i] for j in range(self.P)] for i in range(self.P)]
-            else:
-                gf = [
-                    actors[j].louvain_vol_gather.remote(routed[j], j)
-                    for j in range(self.P)
-                ]
-                reply = [gf] * self.P
-            ray.get(
-                [actors[i].louvain_vol_absorb.remote(reply[i], i) for i in range(self.P)]
-            )
-            if len(hubs):
-                # hub labels to every shard, then each hub's community
-                # volume + singleton flag fetched from the volume's owner
-                hub_lab = self._broadcast_hubs(actors, man)[0].astype(np.int64)
-                owner = _part_of(hub_lab, self.P)
-                vols = np.zeros(len(hub_lab), np.int64)
-                futs = []
-                for p in np.unique(owner):
-                    idx = np.flatnonzero(owner == p)
-                    futs.append(
-                        (idx, actors[p].louvain_lookup_vols.remote(hub_lab[idx]))
-                    )
-                for idx, fut in futs:
-                    vols[idx] = ray.get(fut)
-                flags = vols == hub_k
-                ray.get([a.set_louvain_hub_state.remote(vols, flags) for a in actors])
-            # local-move exchange
-            moved = sum(ray.get(
-                self._wave(actors, ("louvain_move_scatter",), ("louvain_move_gather", two_m))
-            ))
-            self._record("louvain", r, time.time() - t0, {"moved": int(moved)},
-                         actors, (checkpoint_dir, fp, cols))
-            if moved == 0:
-                break
+        self._supersteps(
+            actors, man, "louvain", max_iter=max_rounds,
+            phases=[(("louvain_vol_scatter",), ("louvain_vol_gather",)),
+                    (("louvain_vol_reply",), ("louvain_vol_absorb",)),
+                    (("louvain_move_scatter",), ("louvain_move_gather", two_m))],
+            summary=lambda res: {"moved": int(sum(res))},
+            stop=lambda rec: rec["moved"] == 0,
+            checkpoint=(checkpoint_dir,
+                        self._fingerprint("louvain", {"weighted": weighted}, man), cols),
+            resume=resume,
+        )
         return self._result_ds(actors, "state_table", cols, output_path=output_path,
                                as_table=as_table)
 
@@ -1409,22 +1326,13 @@ class Graph:
         ray.get([a.init_coloring.remote() for a in actors])
         remaining = -1
         for c in range(max_colors):
-            cands = sum(ray.get([a.color_begin.remote() for a in actors]))
-            if cands == 0:
-                remaining = 0
-                break
             t0 = time.time()
-            cc = _mix(np.uint64(seed) ^ np.uint64(c))
-            for r in range(max_rounds):
-                rc = int(_mix(cc ^ np.uint64(r)))
-                ray.get([a.mis_stage_priority.remote(rc) for a in actors])
-                self._broadcast_hubs(actors, man)
-                ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_join",)))
-                ray.get([a.mis_stage_flag.remote() for a in actors])
-                self._broadcast_hubs(actors, man)
-                active = sum(ray.get(self._wave(actors, ("scatter_max",), ("gather_mis_out",))))
-                if active == 0:
-                    break
+            self._supersteps(
+                actors, man, "coloring_mis",
+                phases=self._mis_round(man, int(_mix(np.uint64(seed) ^ np.uint64(c)))),
+                max_iter=max_rounds, summary=_mis_summary, stop=_mis_done,
+                init=("color_begin",), hub_state=(),
+            )
             remaining = sum(ray.get([a.color_assign.remote(c) for a in actors]))
             self._record("greedy_coloring", c, time.time() - t0,
                          {"uncolored": int(remaining)})
@@ -1564,8 +1472,10 @@ class Graph:
             max_iter=_limit(max_iter), summary=_changed, stop=_settled,
             init=("init_dist", int(source)),
         )
-        self._broadcast_hubs(actors, man)  # the parent pass reads hub distances
-        ray.get(self._wave(actors, ("scatter_parent",), ("gather_parent",)))
+        self._supersteps(
+            actors, man, "bfs_parent", ("scatter_parent",), ("gather_parent",),
+            max_iter=1, summary=lambda res: {},
+        )
         return self._result_ds(actors, "parent_table", output_path=output_path,
                                as_table=as_table)
 
@@ -1645,77 +1555,63 @@ class Graph:
         unassigned vertices to fixpoint — color(v) = min unassigned vid
         that reaches v; (2) over REVERSED edges, propagate reach flags from
         each color root r (color==vid) restricted to equal colors —
-        reached(v) ⇔ v→*r; (3) assign those SCCs, repeat. The directed
-        and reversed views of a part live on one host, so color/label
-        vectors hand off per part through the object store — nothing
-        graph-sized touches the driver."""
+        reached(v) ⇔ v→*r; (3) assign those SCCs, repeat. Each fixpoint
+        is a ``_supersteps`` run. The directed and reversed views of a
+        part live on one host, so labels, colors and flags move between
+        them by an in-process copy (``csr.ShardHost.copy``) — nothing
+        graph-sized touches the driver. The directed view holds the
+        labels."""
         fwd, man_f = self._pool("directed")
         rev, man_r = self._pool("reversed")
-        ray.get([a.scc_init.remote() for a in fwd + rev])
+        rev_sync = [(rev, p) for p in self._hub_sync(man_r)]
+
+        def copy(src: str, dst: str, **attrs) -> tuple:
+            return (self._hosts, ("copy", src, dst, attrs))
+
+        # one trim peel: has-unassigned-IN-neighbor over the directed
+        # edges, has-unassigned-OUT-neighbor over the reversed ones
+        peel = [
+            ("scc_reset_colors",), *self._hub_sync(man_f),
+            (("scatter_min",), ("scc_trim_gather",)),
+            copy("directed", "reversed", scc_label="scc_label"),
+            (rev, ("scc_reset_colors",)), *rev_sync,
+            (rev, (("scatter_min",), ("scc_trim_gather",))),
+            copy("reversed", "directed", trim_has_out="trim_has"),
+            ("scc_trim_assign",),
+        ]
+        remaining = sum(ray.get([a.scc_init.remote() for a in fwd]))
         rounds = 0
         limit = _limit(max_rounds)
-        while rounds < limit:
-            remaining = sum(ray.get([a.scc_reset_colors.remote() for a in fwd]))
-            if remaining == 0:
-                break
-            # (0) trim singleton SCCs until stable
-            while trim and remaining:
-                self._broadcast_hubs(fwd, man_f)
-                # has unassigned IN-neighbor
-                ray.get(self._wave(fwd, ("scatter_min",), ("scc_trim_gather",)))
-                label_refs = [a.get_scc_labels.remote() for a in fwd]
-                ray.get(
-                    [rev[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
-                )
-                ray.get([a.scc_reset_colors.remote() for a in rev])
-                self._broadcast_hubs(rev, man_r)
-                # has unassigned OUT-neighbor (reversed edges)
-                ray.get(self._wave(rev, ("scatter_min",), ("scc_trim_gather",)))
-                oh = [rev[p].get_trim_has.remote() for p in range(self.P)]
-                assigned = sum(
-                    ray.get(
-                        [fwd[p].scc_trim_assign.remote(oh[p]) for p in range(self.P)]
-                    )
-                )
-                if assigned == 0:
+        while remaining and rounds < limit:
+            if trim:
+                remaining = self._supersteps(
+                    fwd, man_f, "scc_trim", phases=peel, max_iter=_limit(None),
+                    summary=lambda res: {"assigned": int(sum(r[0] for r in res)),
+                                         "remaining": int(sum(r[1] for r in res))},
+                    stop=lambda rec: rec["assigned"] == 0 or rec["remaining"] == 0,
+                    hub_state=(),
+                )["remaining"]
+                if remaining == 0:
                     break
-                remaining = sum(ray.get([a.scc_reset_colors.remote() for a in fwd]))
-            if remaining == 0:
-                # keep the reversed view's labels current before exiting
-                label_refs = [a.get_scc_labels.remote() for a in fwd]
-                ray.get(
-                    [rev[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
-                )
-                break
             # (1) forward color fixpoint
-            while True:
-                self._broadcast_hubs(fwd, man_f)
-                changed = sum(
-                    ray.get(self._wave(fwd, ("scatter_min",), ("gather_min_unassigned",)))
-                )
-                if changed == 0:
-                    break
-            # hand colors to the reversed view, part by part (same owned sets)
-            color_refs = [a.get_colors.remote() for a in fwd]
-            ray.get(
-                [rev[p].scc_adopt_colors.remote(color_refs[p]) for p in range(self.P)]
+            self._supersteps(
+                fwd, man_f, "scc_color", ("scatter_min",), ("gather_min_unassigned",),
+                max_iter=_limit(None), summary=_changed, stop=_settled,
+                init=("scc_reset_colors",),
             )
-            # (2) backward same-color reach fixpoint
-            while True:
-                self._broadcast_hubs(rev, man_r)
-                adopted = sum(
-                    ray.get(self._wave(rev, ("scatter_label_hist",), ("gather_scc_reach",)))
-                )
-                if adopted == 0:
-                    break
-            # (3) assign + sync labels back to the forward pool
-            ray.get([a.scc_assign.remote() for a in rev])
-            label_refs = [a.get_scc_labels.remote() for a in rev]
-            ray.get(
-                [fwd[p].scc_set_labels.remote(label_refs[p]) for p in range(self.P)]
+            # (2) backward same-color reach fixpoint from each color's root
+            self._supersteps(
+                rev, man_r, "scc_reach", ("scatter_label_hist",), ("gather_scc_reach",),
+                max_iter=_limit(None), summary=_changed, stop=_settled,
+                init=[copy("directed", "reversed", scc_label="scc_label", scc_color="val"),
+                      ("scc_adopt_colors",)],
             )
+            # (3) assign the reached vertices
+            remaining = sum(ray.get(self._superstep(fwd, [
+                copy("reversed", "directed", scc_reached="scc_reached"), ("scc_assign",),
+            ]))[-self.P:])
             rounds += 1
-        return self._result_ds(rev, "state_table", {"component": "scc_label"},
+        return self._result_ds(fwd, "state_table", {"component": "scc_label"},
                                output_path=output_path, as_table=as_table)
 
     def aggregate_messages(
@@ -1771,17 +1667,17 @@ class Graph:
                     for p, a in enumerate(actors)
                 ]
             )
-        self._broadcast_hubs(actors, man)
-        scatter = ("scatter_user", edge_msg, agg)
-        if as_table:
-            tables = ray.get(self._wave(actors, scatter, ("gather_user", agg)))
-            return pa.concat_tables([t for t in tables if t.num_rows] or tables[:1])
+        rec = self._supersteps(
+            actors, man, "aggregate_messages", ("scatter_user", edge_msg, agg),
+            ("gather_user", agg), max_iter=1,
+            summary=lambda res: {"received": [int(c) for c in res]},
+        )
         # results park in the actors; only non-empty parts are collected
         # (an empty gather_user table carries a placeholder dtype that
         # would clash in the result's schema) — unless ALL are empty
-        counts = ray.get(self._wave(actors, scatter, ("gather_user_store", agg)))
-        parts = [p for p, c in enumerate(counts) if c] or [0]
-        return self._result_ds(actors, "user_agg_table", output_path=output_path, parts=parts)
+        parts = [p for p, c in enumerate(rec["received"]) if c] or [0]
+        return self._result_ds(actors, "user_agg_table", output_path=output_path,
+                               as_table=as_table, parts=parts)
 
     def shortest_paths(
         self,
@@ -1813,6 +1709,41 @@ class Graph:
         return self._result_ds(actors, "dist_table", lms, output_path=output_path,
                                as_table=as_table)
 
+    _BC_ROWS = ("bc_dist", "bc_sigma")
+
+    def _path_counts(self, actors, man, algo: str, pivots: list, first: bool,
+                     limit: int, scale: int | None = None) -> int:
+        """Brandes' forward phase for one pivot batch: level-synchronous
+        BFS where superstep d extends the frontier from level d to d + 1
+        and a newly reached vertex's σ sums its frontier in-neighbors' σ
+        (the salted hubs' rows synced first). Returns the depth reached
+        (≤ ``limit``)."""
+        rec = self._supersteps(
+            actors, man, algo, phases=lambda d: [(("scatter_bc_fwd", d), ("gather_bc_fwd", d))],
+            max_iter=limit, summary=lambda res: {"reached": int(sum(res))},
+            stop=lambda rec: rec["reached"] == 0,
+            init=("init_bc", pivots, first, scale), hub_state=self._BC_ROWS,
+        )
+        return 0 if rec is None else rec["iteration"] + (rec["reached"] > 0)
+
+    def _brandes(self, actors, man, pivots: list, batch: int, limit: int,
+                 scale: int | None = None) -> None:
+        """Brandes dependency accumulation over ``pivots``, ``batch``
+        columns at a time, into every shard's ``bc_acc``: the forward
+        phase, then the backward phase from the deepest level up —
+        superstep k scatters level depth − k. ``scale`` selects the
+        exact-integer arithmetic of ``betweenness_fixed``."""
+        for i in range(0, len(pivots), batch):
+            depth = self._path_counts(actors, man, "betweenness_fwd",
+                                      pivots[i:i + batch], i == 0, limit, scale)
+            self._supersteps(
+                actors, man, "betweenness_bwd",
+                phases=lambda k: [(("scatter_bc_bwd", depth - k), ("gather_bc_bwd", depth - k))],
+                max_iter=depth, summary=lambda res: {}, init=("init_bc_delta",),
+                hub_state=self._BC_ROWS + ("bc_delta",),
+            )
+            ray.get([a.finish_bc_batch.remote() for a in actors])
+
     def betweenness_centrality(
         self,
         *,
@@ -1838,14 +1769,9 @@ class Graph:
         working set is (shard edges × batch) float64 — size ``batch`` to
         the node. Forward: level-synchronous σ counting (message-sum over
         the frontier). Backward: dependency accumulation deepest level
-        first. No split hubs (matrix state has no hub-broadcast path) —
-        rebuild with a higher salt_threshold."""
+        first. Salted hubs sync their (dist, σ, δ) rows before every
+        superstep."""
         actors, man = self._pool("undirected")
-        if man.get("hubs"):
-            raise NotImplementedError(
-                "betweenness_centrality: rebuild the Graph with "
-                "salt_threshold above the max degree (no split hubs)"
-            )
         n_total = sum(ray.get([a.owned_count.remote() for a in actors]))
         if sources is not None:
             piv = [int(s) for s in sources]
@@ -1862,25 +1788,7 @@ class Graph:
             owned = ray.get([a.owned_vids.remote() for a in actors])
             piv = sorted(int(x) for arr in owned for x in arr)
             sampled = False
-        limit = _limit(max_iter)
-        for i in range(0, len(piv), batch):
-            bp = piv[i : i + batch]
-            t0 = time.time()
-            ray.get([a.init_bc.remote(bp, i == 0) for a in actors])
-            d = 0
-            while d < limit:
-                new = sum(
-                    ray.get(self._wave(actors, ("scatter_bc_fwd", d), ("gather_bc_fwd", d)))
-                )
-                if new == 0:
-                    break
-                d += 1
-            ray.get([a.init_bc_delta.remote() for a in actors])
-            for dd in range(d, 0, -1):
-                ray.get(self._wave(actors, ("scatter_bc_bwd", dd), ("gather_bc_bwd", dd)))
-            ray.get([a.finish_bc_batch.remote() for a in actors])
-            self._record("betweenness", i // batch, time.time() - t0,
-                         {"pivots_done": min(i + batch, len(piv)), "depth": int(d)})
+        self._brandes(actors, man, piv, batch, _limit(max_iter))
         if normalized:
             scale = 1.0 / ((n_total - 1) * (n_total - 2)) if n_total > 2 else 0.0
         else:
@@ -1913,35 +1821,11 @@ class Graph:
         bc_fixed = Σ over pivots of δ (a pivot's own row excluded, per
         Brandes); bc_fixed / (2·scale) ≈ the unnormalized undirected
         betweenness restricted to the given pivots. ``max_depth`` pins
-        the contract exactly like sssp's max_iter. No split hubs."""
+        the contract exactly like sssp's max_iter. Runs the same Brandes
+        driver as ``betweenness_centrality``."""
         actors, man = self._pool("undirected")
-        if man.get("hubs"):
-            raise NotImplementedError(
-                "betweenness_fixed: rebuild the Graph with "
-                "salt_threshold above the max degree (no split hubs)"
-            )
-        piv = [int(s) for s in sources]
-        for i in range(0, len(piv), batch):
-            bp = piv[i : i + batch]
-            t0 = time.time()
-            ray.get([a.init_bc.remote(bp, False) for a in actors])
-            d = 0
-            while d < max_depth:
-                new = sum(
-                    ray.get(self._wave(actors, ("scatter_bc_fwd", d), ("gather_bc_fwd", d)))
-                )
-                if new == 0:
-                    break
-                d += 1
-            ray.get([a.init_bc_delta_fixed.remote(i == 0) for a in actors])
-            for dd in range(d, 0, -1):
-                ray.get(self._wave(
-                    actors, ("scatter_bc_bwd_fixed", dd, int(scale)), ("gather_bc_bwd_fixed", dd)
-                ))
-            ray.get([a.finish_bc_batch_fixed.remote() for a in actors])
-            self._record("betweenness_fixed", i // batch, time.time() - t0,
-                         {"pivots_done": min(i + batch, len(piv)), "depth": int(d)})
-        return self._result_ds(actors, "state_table", {"bc_fixed": "bc_acc_i"},
+        self._brandes(actors, man, [int(s) for s in sources], batch, max_depth, int(scale))
+        return self._result_ds(actors, "state_table", {"bc_fixed": "bc_acc"},
                                output_path=output_path, as_table=as_table)
 
     def shortest_path_counts(
@@ -1959,18 +1843,7 @@ class Graph:
         Returns (vid, dist, sigma); unreached vertices carry (−1, 0).
         σ is exact while < 2^53 (guarded)."""
         actors, man = self._pool("undirected")
-        if man.get("hubs"):
-            raise NotImplementedError(
-                "shortest_path_counts: rebuild the Graph with "
-                "salt_threshold above the max degree (no split hubs)"
-            )
-        # superstep d extends the BFS frontier from level d to d + 1
-        self._supersteps(
-            actors, man, "path_counts", ("scatter_bc_fwd",), ("gather_bc_fwd",),
-            max_iter=_limit(max_iter), numbered=True,
-            summary=lambda res: {"reached": int(sum(res))},
-            stop=lambda rec: rec["reached"] == 0, init=("init_bc", [int(source)], True),
-        )
+        self._path_counts(actors, man, "path_counts", [int(source)], True, _limit(max_iter))
         return self._result_ds(actors, "result_table_path_counts",
                                output_path=output_path, as_table=as_table)
 

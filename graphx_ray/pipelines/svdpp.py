@@ -41,6 +41,7 @@ import pyarrow.parquet as pq
 import ray
 
 from graphx_ray.ids import mix64, part_of
+from graphx_ray.state.csr import dst_segments
 
 if TYPE_CHECKING:
     # shard hosts import this module for its shard classes: keep Ray Data
@@ -94,26 +95,9 @@ class _SvdppShard:
         self.nu = len(self.users)
         self.src_local = np.searchsorted(self.users, self.src)
 
-        dp = dst_part[order]
-        seg_bounds = np.searchsorted(dp, np.arange(self.P + 1))
-        self.seg = [(int(seg_bounds[j]), int(seg_bounds[j + 1])) for j in range(self.P)]
-        self.run_starts: list[np.ndarray] = []
-        self.uniq_dst: list[np.ndarray] = []
-        self.edge_uniq_idx = np.empty(self.m, np.int64)
-        for j in range(self.P):
-            s, e = self.seg[j]
-            d = self.dst[s:e]
-            if e == s:
-                self.run_starts.append(np.empty(0, np.int64))
-                self.uniq_dst.append(np.empty(0, np.int64))
-                continue
-            new = np.empty(e - s, bool)
-            new[0] = True
-            np.not_equal(d[1:], d[:-1], out=new[1:])
-            rs = np.flatnonzero(new)
-            self.run_starts.append(rs)
-            self.uniq_dst.append(d[rs])
-            self.edge_uniq_idx[s:e] = np.cumsum(new) - 1
+        self.seg, self.run_starts, self.uniq_dst, self.edge_uniq_idx = dst_segments(
+            dst_part[order], self.dst, self.P
+        )
 
         # user-side degree / rating stats (counts — GraphX norm uses deg)
         self.deg_u = np.bincount(self.src_local, minlength=self.nu).astype(np.float64)

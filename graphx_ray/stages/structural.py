@@ -528,46 +528,35 @@ def coreness(
 
     Shape (round-3 de-drivered): the graph's undirected view on the
     shard hosts (one hash-partitioned spill, the view exchange and the
-    one-time ghost index exchange, same machinery as PageRank); per-vertex c vectors
-    live in partition-aligned actor state. Each round every shard packs
-    the c values its peers' neighborhoods need (the pull mirror of the
-    scatter ghost exchange), peers fetch them zero-copy from the object
-    store, and the driver routes ONLY ObjectRefs and per-shard changed
-    counts — no per-round O(|V|) driver gather or broadcast (the round-2
-    design pulled one (v, c) row per vertex to the driver every round).
-    ``edges`` must be one row per undirected edge (canonical, deduped);
-    staging is unsalted — H is not edge-decomposable, so a vertex's full
-    neighborhood must stay shard-local."""
-    import ray
-
-    from graphx_ray.pipelines.graph import Graph
+    one-time ghost index exchange, same machinery as PageRank), and one
+    ``Graph._supersteps`` run: per-vertex c vectors live in
+    partition-aligned actor state, and each round is one exchange in
+    which every shard sends the c values its peers' neighborhoods need
+    (the pull mirror of the scatter ghost exchange) and each peer reduces
+    H over its edges — the driver routes ONLY ObjectRefs and per-shard
+    changed counts (the round-2 design pulled one (v, c) row per vertex
+    to the driver every round). ``edges`` must be one row per undirected
+    edge (canonical, deduped); staging is unsalted — H is not
+    edge-decomposable, so a vertex's full neighborhood must stay
+    shard-local."""
+    from graphx_ray.pipelines.graph import Graph, _changed, _settled
     from graphx_ray.state import checkpoint as ckpt
 
     g = Graph(edges, num_parts=num_partitions)
     try:
-        actors, _man = g._pool("undirected")
+        actors, man = g._pool("undirected")
         fp = {"algo": "coreness", "P": num_partitions}
         cols = {"core": "cval"}
-        start = g._resume(actors, checkpoint_dir, fp, cols) if resume else 0
-        # a loaded checkpoint from an already-converged run is exact —
-        # without this, start == max_rounds skips the loop and a spurious
-        # 'exhausted max_rounds' warning fires
-        converged = start > 0 and ckpt.manifest_metrics(
-            checkpoint_dir, start - 1).get("changed") == 0
-        if start == 0:
-            ray.get([a.hindex_init.remote() for a in actors])
-        for rnd in range(start if not converged else max_rounds, max_rounds):
-            refs = [a.hindex_ghost_vals.remote() for a in actors]
-            changed = sum(ray.get([a.hindex_step.remote(refs) for a in actors]))
-            if checkpoint_dir:
-                g._checkpoint(
-                    actors, checkpoint_dir, rnd, fp, cols,
-                    {"algo": "coreness", "iteration": rnd, "changed": int(changed)},
-                )
-            if changed == 0:
-                converged = True
-                break
-        if not converged:
+        rec = g._supersteps(
+            actors, man, "coreness", ("hindex_ghost_vals",), ("hindex_step",),
+            max_iter=max_rounds, summary=_changed, stop=_settled, init=("hindex_init",),
+            checkpoint=(checkpoint_dir, fp, cols), resume=resume,
+        )
+        if rec is None and resume and checkpoint_dir:
+            # resumed at max_rounds: the checkpoint says whether it converged
+            it = ckpt.latest_complete(checkpoint_dir, fp)
+            rec = ckpt.manifest_metrics(checkpoint_dir, it) if it is not None else None
+        if rec is None or rec.get("changed") != 0:
             import warnings
 
             warnings.warn(

@@ -30,7 +30,7 @@ Design (idiomatic Ray, NOT a Spark port):
 - **Shared combiners.** Every message-passing kernel is written as
   per-edge values plus a merge: ``_src_vals`` gathers each edge's source
   value (owned sources from the value vector, salted-hub sources from the
-  broadcast replica), ``_by_dst`` is the send-side combiner (one
+  synced replica), ``_by_dst`` is the send-side combiner (one
   ``ufunc.reduceat`` per unique destination, per destination part), and
   ``_combine`` is the receive-side one (senders folded into a
   per-vertex accumulator in ascending order, starting from
@@ -61,8 +61,11 @@ Design (idiomatic Ray, NOT a Spark port):
 - **Salted hub splitting** (SURVEY.md ST3): out-edges of vertices whose
   out-degree exceeds ``salt_threshold`` are spread over all partitions by
   ``hash(dst)``; every shard then holds a replica slice of the hub's
-  adjacency plus the hub's (vid → rank) lookup, refreshed each superstep
-  via one broadcast — scatter stays balanced under power-law skew.
+  adjacency plus the hub's (vid → value) lookup, refreshed each superstep
+  by the hub sync — every shard merges the owners' ``hub_state`` parts
+  itself (``set_hub_state``), and the algorithms' hub partials (HITS and
+  SALSA hub sums, matching's best tuples) fold on the shards the same
+  way — so scatter stays balanced under power-law skew.
 - **Recycled hosts.** A host outlives its graph: ``Graph.close()`` calls
   ``release()`` (every shard dropped) and parks the actor on an idle
   list; the next pool calls ``load(name, factory, ...)``, which drops
@@ -108,6 +111,30 @@ def _runs(*keys: np.ndarray) -> np.ndarray:
     for k in keys:
         new[1:] |= k[1:] != k[:-1]
     return np.flatnonzero(new)
+
+
+def dst_segments(dst_part: np.ndarray, dst: np.ndarray, num_parts: int) -> tuple:
+    """The CSR message layout of edges sorted by (dst_part, dst, ...):
+    per destination part j its (start, end) segment, the start of every
+    unique destination's run inside it and those destinations; and for
+    every edge the index of its destination among its part's unique
+    ones."""
+    bounds = np.searchsorted(dst_part, np.arange(num_parts + 1))
+    seg = [(int(bounds[j]), int(bounds[j + 1])) for j in range(num_parts)]
+    run_starts, uniq_dst = [], []
+    edge_uniq_idx = np.empty(len(dst), np.int64)
+    for s, e in seg:
+        if e == s:
+            run_starts.append(np.empty(0, np.int64))
+            uniq_dst.append(np.empty(0, np.int64))
+            continue
+        rs = _runs(dst[s:e])
+        run_starts.append(rs)
+        uniq_dst.append(dst[s:e][rs])
+        new = np.zeros(e - s, np.int64)
+        new[rs] = 1
+        edge_uniq_idx[s:e] = np.cumsum(new) - 1
+    return seg, run_starts, uniq_dst, edge_uniq_idx
 
 
 def _write_parquet(table: pa.Table, path: str) -> int:
@@ -317,28 +344,13 @@ class CsrShard:
         )
         self.own_pos = np.flatnonzero(~self.src_is_hub)
 
-        # destination-partition segments + per-unique-dst runs
-        seg_bounds = np.searchsorted(dst_part[order], np.arange(self.P + 1))
-        self.seg = [(int(seg_bounds[j]), int(seg_bounds[j + 1])) for j in range(self.P)]
-        self.run_starts: list[np.ndarray] = []
-        self.uniq_dst: list[np.ndarray] = []
-        self.edge_uniq_idx = np.empty(self.m, np.int64)
-        for j in range(self.P):
-            s, e = self.seg[j]
-            d = self.dst[s:e]
-            if e == s:
-                self.run_starts.append(np.empty(0, np.int64))
-                self.uniq_dst.append(np.empty(0, np.int64))
-                continue
-            rs = _runs(d)
-            self.run_starts.append(rs)
-            self.uniq_dst.append(d[rs])
-            new = np.zeros(e - s, np.int64)
-            new[rs] = 1
-            self.edge_uniq_idx[s:e] = np.cumsum(new) - 1
+        self.seg, self.run_starts, self.uniq_dst, self.edge_uniq_idx = dst_segments(
+            dst_part[order], self.dst, self.P
+        )
 
         # out-degree of OWNED vertices: Σw over out-edges. For salted hubs the
-        # shard only sees a slice; the true hub outdeg is merged by the driver.
+        # shard only sees a slice; every shard sums the P slices into the
+        # true hub outdeg (set_hub_outdeg).
         self.outdeg = np.zeros(self.n, np.float64)
         np.add.at(self.outdeg, self.src_local, self.w[self.own_pos])
         self.hub_outdeg_partial = np.zeros(len(self.hubs), np.float64)
@@ -348,7 +360,7 @@ class CsrShard:
         self.ghost_locals: list[np.ndarray] | None = None
         self.val: np.ndarray | None = None  # current vertex vector
         # set_hub_state installs hub_<name> (aligned to self.hubs) for
-        # every vector the hub broadcast ships; hub_val is the usual one
+        # every vector the hub sync ships; hub_val is the usual one
         self.hub_val: np.ndarray | None = None
         self.hub_outdeg: np.ndarray | None = None
         self.lpa_frozen: np.ndarray | None = None  # seeded-LPA clamp
@@ -360,19 +372,22 @@ class CsrShard:
         return self.src, self.dst, self.w
 
     def uniq_dsts(self) -> list:
-        """Per-dst-part unique destination vids, as one ObjectRef each so the
-        driver can route refs without materializing the arrays."""
-        return [ray.put(u) for u in self.uniq_dst]
+        """Scatter side of the one-time ghost index exchange: the unique
+        destination vids of every destination part."""
+        return self.uniq_dst
 
     def hub_outdeg_part(self) -> np.ndarray:
         return self.hub_outdeg_partial
 
-    def set_hub_outdeg(self, hd: np.ndarray) -> None:
-        self.hub_outdeg = hd
+    def set_hub_outdeg(self, *partials: np.ndarray) -> None:
+        """Sum every part's ``hub_outdeg_part``, in part order: a salted
+        hub's out-edges span all parts."""
+        self.hub_outdeg = np.sum(partials, axis=0)
 
-    def cache_ghost_locals(self, uniq_lists: list) -> int:
-        """uniq_lists[i] = sender i's unique dst vids destined to this part."""
-        arrs = [u if isinstance(u, np.ndarray) else ray.get(u) for u in uniq_lists]
+    def cache_ghost_locals(self, sender_refs: list, j: int) -> int:
+        """Gather side of the ghost index exchange: the local index of
+        every sender's unique destinations in this part."""
+        arrs = self._my_parts(sender_refs, j)
         self.ghost_locals = []
         for u in arrs:
             loc = np.searchsorted(self.owned, u)
@@ -414,15 +429,20 @@ class CsrShard:
 
     def hub_state(self, names: list) -> tuple:
         """(hub vids owned here, [each named vector at them]): this shard's
-        side of the hub broadcast."""
+        part of the hub sync."""
         mask = np.isin(self.owned, self.hubs) if len(self.hubs) else np.zeros(self.n, bool)
         return self.owned[mask], [getattr(self, a)[mask] for a in names]
 
-    def set_hub_state(self, names: list, vals: list) -> None:
-        """Install the merged hub vectors as ``hub_<name>``, aligned to
-        self.hubs (sorted)."""
-        for a, v in zip(names, vals):
-            setattr(self, "hub_" + a, np.asarray(v))
+    def set_hub_state(self, names: list, *parts: tuple) -> None:
+        """Merge every part's ``hub_state`` by vid and install each vector
+        as ``hub_<name>``, aligned to self.hubs (sorted); the dtype (and
+        the rows of a 2-D vector) ride along."""
+        vids = np.concatenate([p[0] for p in parts])
+        order = np.argsort(vids)
+        if not np.array_equal(vids[order], self.hubs):
+            raise RuntimeError("hub vertices missing from vertex universe")
+        for k, a in enumerate(names):
+            setattr(self, "hub_" + a, np.concatenate([p[1][k] for p in parts])[order])
 
     # ---------------------------------------------------- shared combiners
 
@@ -552,7 +572,7 @@ class CsrShard:
 
     # --------------------------------------------------------------- HITS
     # Kleinberg hubs-and-authorities. h lives in self.val (so the salted-hub
-    # broadcast and the generic result plumbing apply unchanged); a lives in
+    # sync and the generic result plumbing apply unchanged); a lives in
     # self.val_a. The auth half-step is the standard forward scatter; the
     # hub half-step is a REVERSE PULL that transposes the same ghost index:
     # the dst-owner part returns a(v) aligned to each src part's unique-dst
@@ -639,10 +659,9 @@ class CsrShard:
     #
     # SALTED HUBS (round-5, lifting the round-4 NotImplementedError): a
     # split hub's out-edges live sliced across all shards, so no single
-    # shard can draw its next hop from local CSR state. The driver merges
+    # shard can draw its next hop from local CSR state. Every shard merges
     # the per-shard aggregated hub slices ONCE (the adjacency is static)
-    # and broadcasts the merged (hub, dst, Σw) arrays via one ``ray.put``
-    # (plasma-shared: one copy per node); every shard appends them to its
+    # into the full (hub, dst, Σw) arrays and appends them to its
     # local adjacency as extra "slots" (slot = local idx for owned
     # vertices, n + hub_idx for hubs, wk_cur < 0 encodes a hub slot), so
     # ANY shard resolves a hub-resident draw locally. Walks arriving at a
@@ -654,9 +673,9 @@ class CsrShard:
 
     def walk_hub_adj_slice(self):
         """This shard's aggregated (hub_idx, dst, Σw) slice of the salted
-        hub adjacency, sorted by (hub_idx, dst). A given (hub, dst) pair
-        lands in exactly one shard (dst-hash routing), so the driver's
-        concat+sort of these slices IS the full aggregated adjacency."""
+        hub adjacency. A given (hub, dst) pair lands in exactly one shard
+        (dst-hash routing), so the slices together ARE the full
+        aggregated adjacency."""
         hi = self.hub_src_idx if len(self.hub_pos) else np.empty(0, np.int64)
         dst = self.dst[self.hub_pos]
         w = self.w[self.hub_pos].astype(np.uint64)
@@ -668,15 +687,14 @@ class CsrShard:
         rs = _runs(hi, dst)
         return hi[rs], dst[rs], np.add.reduceat(w, rs)
 
-    def set_walk_hub_adj(self, hub_adj) -> None:
-        """Adopt the driver-merged full hub adjacency (hidx, dst, Σw),
-        sorted by (hidx, dst) — call BEFORE init_walks."""
-        hidx, hdst, hw = hub_adj
-        self._hub_adj = (
-            np.asarray(hidx, np.int64),
-            np.asarray(hdst, np.int64),
-            np.asarray(hw, np.uint64),
-        )
+    def set_walk_hub_adj(self, *slices) -> None:
+        """Merge every part's ``walk_hub_adj_slice`` into the full hub
+        adjacency (hidx, dst, Σw), sorted by (hidx, dst) — call BEFORE
+        init_walks."""
+        hidx, hdst, hw = (np.concatenate([s[k] for s in slices]) for k in range(3))
+        order = np.lexsort((hdst, hidx))
+        self._hub_adj = (hidx[order].astype(np.int64), hdst[order].astype(np.int64),
+                         hw[order].astype(np.uint64))
 
     def _walk_slot_of(self, vids: np.ndarray) -> np.ndarray:
         """Global vid → walk slot: owned local idx for ordinary vertices,
@@ -714,7 +732,7 @@ class CsrShard:
         if len(self.hubs) and getattr(self, "_hub_adj", None) is None:
             raise ValueError(
                 "init_walks on a salted graph needs the merged hub adjacency "
-                "— the driver must call set_walk_hub_adj first"
+                "— set_walk_hub_adj must run first"
             )
         # per-own-vertex adjacency: (src,dst)→Σw, neighbors sorted by dst
         sl = self.src_local
@@ -1026,18 +1044,22 @@ class CsrShard:
     # MIS iff its priority strictly exceeds every active neighbor's (ties ⇒
     # neither joins; fresh priorities next round break them), then MIS
     # neighbors deactivate. Both phases ride the existing label scatter
-    # (val staged per phase, max merge), so salted hubs work unchanged.
+    # (val staged per phase, max merge), so salted hubs need only the
+    # hub sync of val after each staging.
 
     def init_mis(self) -> None:
         self.mis_status = np.zeros(self.n, np.int8)  # 0 active, 1 MIS, 2 out
         self.val = np.zeros(self.n, np.int64)
 
-    def mis_stage_priority(self, round_const: int) -> None:
+    def mis_stage_priority(self, base: int, r: int) -> None:
         """val = (p_r(v) >> 3) + 1 for ACTIVE vertices (strictly positive,
-        fits int64), 0 for inactive — max-merge identity."""
+        fits int64), 0 for inactive — max-merge identity. p_r(v) =
+        mix64(mix64(base ^ r) ^ v): base is the seed for a plain MIS and
+        mix64(seed ^ c) for color c of greedy coloring."""
         from graphx_ray.ids import mix64
 
-        p = mix64(np.uint64(round_const) ^ self.owned.astype(np.uint64))
+        round_const = mix64(np.uint64(base) ^ np.uint64(r))
+        p = mix64(round_const ^ self.owned.astype(np.uint64))
         v = (p >> np.uint64(3)).astype(np.int64) + 1
         self.val = np.where(self.mis_status == 0, v, 0).astype(np.int64)
 
@@ -1048,20 +1070,21 @@ class CsrShard:
         # staged values are ≥ 0, so 0 stands for "no message"
         return np.maximum(self._combine(self._my_parts(sender_refs, j), "max"), 0)
 
-    def gather_mis_join(self, sender_refs: list, j: int) -> int:
+    def gather_mis_join(self, sender_refs: list, j: int) -> None:
         acc = self._gather_max_acc(sender_refs, j)
         join = (self.mis_status == 0) & (self.val > acc)
         self.mis_status[join] = 1
-        return int(join.sum())
 
     def mis_stage_flag(self) -> None:
         self.val = (self.mis_status == 1).astype(np.int64)
 
-    def gather_mis_out(self, sender_refs: list, j: int) -> int:
+    def gather_mis_out(self, sender_refs: list, j: int) -> tuple:
+        """Deactivate MIS neighbors; returns (#in the MIS, #still
+        active)."""
         acc = self._gather_max_acc(sender_refs, j)
         out = (self.mis_status == 0) & (acc > 0)
         self.mis_status[out] = 2
-        return int((self.mis_status == 0).sum())  # remaining active
+        return int((self.mis_status == 1).sum()), int((self.mis_status == 0).sum())
 
     def result_table_mis(self) -> pa.Table:
         return pa.table(
@@ -1081,11 +1104,10 @@ class CsrShard:
     def init_coloring(self) -> None:
         self.clr = np.full(self.n, -1, np.int64)
 
-    def color_begin(self) -> int:
-        """Arm a fresh MIS over the uncolored subgraph; returns #candidates."""
+    def color_begin(self) -> None:
+        """Arm a fresh MIS over the uncolored subgraph."""
         self.mis_status = np.where(self.clr < 0, 0, 2).astype(np.int8)
         self.val = np.zeros(self.n, np.int64)
-        return int((self.mis_status == 0).sum())
 
     def color_assign(self, c: int) -> int:
         """Commit this round's MIS as color ``c``; returns #still uncolored."""
@@ -1102,7 +1124,7 @@ class CsrShard:
     # hub is the HITS reverse pull with a static per-edge indeg cache.
 
     def init_salsa(self, scale: int) -> None:
-        self.val = np.full(self.n, scale, np.int64)  # h (hub broadcastable)
+        self.val = np.full(self.n, scale, np.int64)  # h (synced for salted hubs)
         self.val_sa = np.zeros(self.n, np.int64)  # a
         self.sl_w = np.rint(self.w).astype(np.int64)
         self.sl_od = np.maximum(np.rint(self.outdeg).astype(np.int64), 1)
@@ -1141,8 +1163,8 @@ class CsrShard:
 
     def gather_salsa_hub(self, sender_refs: list, j: int):
         """h-step: expand pulled a across edge runs, per-edge
-        floor(a(v)·w / indeg(v)), reduce by own src; hub-src partial
-        returns for the driver merge (REPLACE, like HITS)."""
+        floor(a(v)·w / indeg(v)), reduce by own src; the hub-src partial
+        returns for ``finalize_salsa_hub`` (REPLACE, like HITS)."""
         av = self._per_edge(self._my_parts(sender_refs, j), np.int64)
         contrib = (av * self.sl_w) // self.sl_edge_ind
         h_new = np.zeros(self.n, np.int64)
@@ -1155,7 +1177,12 @@ class CsrShard:
             return hub_partial
         return None
 
-    def finalize_salsa_hub(self, hub_totals) -> None:
+    def finalize_salsa_hub(self, *pulled) -> None:
+        """Sum every part's ``gather_salsa_hub`` hub partial; the totals
+        REPLACE the owners' h (every hub edge went through the
+        partials)."""
+        partials = [p for p in pulled if p is not None]
+        hub_totals = np.sum(partials, axis=0) if partials else None
         h = self._sl_h_pending
         if hub_totals is not None and len(self.hubs) and self.n:
             own_mask = np.isin(self.owned, self.hubs)
@@ -1178,8 +1205,8 @@ class CsrShard:
     # so every round makes progress; expected O(log m) rounds). Two
     # ghost-sized reverse pulls per round (matched flags, best tuples)
     # through the transposed ghost index — the HITS pull machinery.
-    # Salted hubs: per-shard best partials are tuple-max-merged by the
-    # driver and re-broadcast, exactly like hub outdeg at staging.
+    # Salted hubs: after each pull, every shard folds all P parts' hub
+    # partials (best tuples, then winners), as HITS folds its hub sums.
 
     def init_matching(self) -> None:
         self.val = np.full(self.n, -1, np.int64)  # partner (−1 = unmatched)
@@ -1192,11 +1219,13 @@ class CsrShard:
         f = (self.val >= 0).astype(np.int8)
         return [f[gl] for gl in self.ghost_locals]
 
-    def match_stage_priorities(self, flag_refs: list, j: int, round_const: int) -> int:
-        """Active-edge priorities + per-owned-vertex (and hub-partial)
-        best tuples; returns this shard's active-edge count."""
+    def match_stage_priorities(self, flag_refs: list, j: int, seed: int, r: int):
+        """Round r's active-edge priorities (C_r = mix64(seed ^ r)) +
+        per-owned-vertex best tuples; returns the hub best partial (None
+        on an unsalted view)."""
         from graphx_ray.ids import mix64
 
+        round_const = mix64(np.uint64(seed) ^ np.uint64(r))
         dflag = self._per_edge(self._my_parts(flag_refs, j), bool)
         hub_matched = None if self.hub_val is None else self.hub_val >= 0
         sflag = self._src_vals(self.val >= 0, hub_matched)
@@ -1205,7 +1234,7 @@ class CsrShard:
         if active.any():
             cu = self.mm_cu[active].astype(np.uint64)
             cv = self.mm_cv[active].astype(np.uint64)
-            p[active] = (mix64(mix64(np.uint64(round_const) ^ cu) ^ cv) >> np.uint64(1)) + np.uint64(1)
+            p[active] = (mix64(mix64(round_const ^ cu) ^ cv) >> np.uint64(1)) + np.uint64(1)
         self.mm_p = p
         self.mm_active = active
 
@@ -1228,22 +1257,24 @@ class CsrShard:
             return bp, bu, bv
 
         self.mm_best = best_of(self.src_local, self.n, self.own_pos)
-        self.mm_hub_partial = (
-            best_of(self.hub_src_idx, len(self.hubs), self.hub_pos)
-            if len(self.hubs)
-            else None
-        )
-        return int(active.sum())
+        if len(self.hubs):
+            return best_of(self.hub_src_idx, len(self.hubs), self.hub_pos)
+        return None
 
-    def match_hub_best_partial(self):
-        return self.mm_hub_partial
-
-    def match_install_hub_best(self, hp, hu, hv) -> None:
-        """Merged hub best tuples: every shard keeps them for src-side
-        checks; the owner overwrites its owned-hub local bests so the
-        best pull serves the merged value."""
-        self.mm_hub_best = (np.asarray(hp), np.asarray(hu), np.asarray(hv))
-        if self.n and len(self.hubs):
+    def match_install_hub_best(self, *partials) -> None:
+        """Tuple-max fold of every part's hub best partial: every shard
+        keeps the merged tuples for src-side checks; the owner overwrites
+        its owned-hub local bests so the best pull serves them."""
+        if not len(self.hubs):
+            return
+        hp = np.zeros(len(self.hubs), np.uint64)
+        hu = np.full(len(self.hubs), -1, np.int64)
+        hv = np.full(len(self.hubs), -1, np.int64)
+        for bp, bu, bv in partials:
+            better = (bp > hp) | ((bp == hp) & ((bu > hu) | ((bu == hu) & (bv > hv))))
+            hp[better], hu[better], hv[better] = bp[better], bu[better], bv[better]
+        self.mm_hub_best = (hp, hu, hv)
+        if self.n:
             mask = np.isin(self.owned, self.hubs)
             if mask.any():
                 idx = np.searchsorted(self.hubs, self.owned[mask])
@@ -1260,7 +1291,7 @@ class CsrShard:
     def match_resolve(self, best_refs: list, j: int):
         """Edges winning at both endpoints set partners for owned
         sources; hub-source winners return as (hub_idx, partner)
-        partials for the driver merge."""
+        partials for ``match_install_hub_partners``."""
         parts = self._my_parts(best_refs, j)
         dbp, dbu, dbv = (self._per_edge([p[k] for p in parts], d)
                          for k, d in enumerate((np.uint64, np.int64, np.int64)))
@@ -1284,13 +1315,20 @@ class CsrShard:
                 )
         return None
 
-    def match_install_hub_partners(self, idx: np.ndarray, partner: np.ndarray) -> None:
-        if self.n == 0 or len(idx) == 0:
-            return
-        mask = np.isin(self.owned, self.hubs[idx])
-        if mask.any():
-            pos = np.searchsorted(self.hubs[idx], self.owned[mask])
-            self.val[mask] = np.asarray(partner)[pos]
+    def match_install_hub_partners(self, *resolved) -> int:
+        """Install the partners of the owned hubs that won, from every
+        part's ``match_resolve`` partial (winners are disjoint per hub);
+        returns this shard's active-edge count."""
+        pairs = [p for p in resolved if p is not None]
+        if pairs and self.n:
+            idx = np.concatenate([p[0] for p in pairs])
+            order = np.argsort(idx)
+            won = self.hubs[idx[order]]
+            mask = np.isin(self.owned, won)
+            if mask.any():
+                self.val[mask] = np.concatenate([p[1] for p in pairs])[order][
+                    np.searchsorted(won, self.owned[mask])]
+        return int(self.mm_active.sum())
 
     # ------------------------------------------------------- Louvain (A.16)
     # Synchronous deterministic Louvain local-move rounds (Blondel et al.
@@ -1305,7 +1343,9 @@ class CsrShard:
     #      ids, so ownership reuses the vertex hash partitioning);
     #   2. vol-down: each owner replies (C, vol(C)) to exactly the shards
     #      that contributed a partial for C — every shard ends the phase
-    #      holding vol for each community with a RESIDENT member;
+    #      holding vol for each community with a RESIDENT member — plus,
+    #      on a salted view, the volumes of the hubs' communities it owns,
+    #      which every shard sums into the hubs' (vol, singleton) state;
     #   3. move: an LPA-shaped edge scatter carrying (label, vol(label),
     #      singleton-flag) per source, pre-aggregated per (dst, label);
     #      the receiver argmaxes Δ̂ with ties → smallest community id and
@@ -1318,7 +1358,9 @@ class CsrShard:
     # the undirected_weighted view holds a self-loop twice, so outdeg already
     # carries the standard 2·w_self.
 
-    def init_louvain(self) -> None:
+    def init_louvain(self) -> int:
+        """Static state and singleton labels; returns Σk over this part
+        (its share of 2m)."""
         self.val = self.owned.astype(np.int64).copy()  # community label
         k = self.outdeg.copy()
         if len(self.hubs):
@@ -1329,17 +1371,13 @@ class CsrShard:
         self.lv_k = np.rint(k).astype(np.int64)
         self.lv_vol_ids: np.ndarray | None = None  # resident-community vols
         self.lv_vol: np.ndarray | None = None
-        self.lv_own_ids = np.empty(0, np.int64)  # owner-side vol table
-        self.lv_own_vol = np.empty(0, np.int64)
         self.lv_hub_vol: np.ndarray | None = None
         self.lv_hub_flag: np.ndarray | None = None
         self.lv_w_eff = np.where(self.src == self.dst, 0, self.w).astype(np.int64)
-
-    def louvain_two_m_part(self) -> int:
         return int(self.lv_k.sum())
 
     def louvain_vol_scatter(self) -> list:
-        """Phase 1: per owner-shard partial community volumes (C, Σk)."""
+        """Vol-up: per owner-shard partial community volumes (C, Σk)."""
         c, k = self.val, self.lv_k
         empty = (np.empty(0, np.int64), np.empty(0, np.int64))
         if self.n == 0:
@@ -1359,53 +1397,47 @@ class CsrShard:
             out.append((cj[rs], np.add.reduceat(kj, rs)))
         return out
 
-    def louvain_vol_gather(self, sender_refs: list, j: int) -> list:
-        """Phase 2 (owner side): sum partials, reply (C, vol) per sender."""
+    def louvain_vol_gather(self, sender_refs: list, j: int) -> None:
+        """Vol-up, owner side: sum the partials into the volumes of the
+        communities this part owns; keep what each sender asked for."""
         parts = self._my_parts(sender_refs, j)
-        empty = (np.empty(0, np.int64), np.empty(0, np.int64))
-        if sum(len(p[0]) for p in parts) == 0:
-            self.lv_own_ids = np.empty(0, np.int64)
-            self.lv_own_vol = np.empty(0, np.int64)
-            return [empty] * self.P
-        c = np.concatenate([p[0] for p in parts])
+        self.lv_asked = [p[0] for p in parts]
+        c = np.concatenate(self.lv_asked)
         v = np.concatenate([p[1] for p in parts])
         order = np.argsort(c, kind="stable")
         cs, vs = c[order], v[order]
-        rs = _runs(cs)
-        self.lv_own_ids = cs[rs]
-        self.lv_own_vol = np.add.reduceat(vs, rs)
-        out = []
-        for ci, _ in parts:
-            if len(ci) == 0:
-                out.append(empty)
-                continue
-            pos = np.searchsorted(self.lv_own_ids, ci)
-            out.append((ci, self.lv_own_vol[pos]))
-        return out
+        if len(cs):
+            rs = _runs(cs)
+            cs, vs = cs[rs], np.add.reduceat(vs, rs)
+        self.lv_own_ids, self.lv_own_vol = cs, vs
 
-    def louvain_vol_absorb(self, reply_refs: list, i: int) -> None:
-        """Phase 2 (member side): store vol for every resident community.
+    def louvain_vol_reply(self) -> list:
+        """Vol-down, owner side: (C, vol(C)) for the communities each
+        sender asked for, and the volumes of the salted hubs' communities
+        owned here (0 for the others)."""
+        hub = None
+        if len(self.hubs):
+            hit = np.isin(self.hub_val, self.lv_own_ids)
+            hub = np.zeros(len(self.hubs), np.int64)
+            hub[hit] = self.lv_own_vol[np.searchsorted(self.lv_own_ids, self.hub_val[hit])]
+        return [(ci, self.lv_own_vol[np.searchsorted(self.lv_own_ids, ci)], hub)
+                for ci in self.lv_asked]
+
+    def louvain_vol_absorb(self, sender_refs: list, j: int) -> None:
+        """Vol-down, member side: store vol for every resident community.
         Owner reply key sets are disjoint (owner(C) is unique), so a plain
-        sort — no duplicate merge — yields the lookup table."""
-        parts = self._my_parts(reply_refs, i)
-        cs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        vs = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.int64)
+        sort — no duplicate merge — yields the lookup table. The hubs'
+        community volumes sum over the owners; a hub is a singleton when
+        its community's volume is its own degree."""
+        parts = self._my_parts(sender_refs, j)
+        cs = np.concatenate([p[0] for p in parts])
+        vs = np.concatenate([p[1] for p in parts])
         order = np.argsort(cs, kind="stable")
         self.lv_vol_ids = cs[order]
         self.lv_vol = vs[order]
-
-    def louvain_lookup_vols(self, comm: np.ndarray) -> np.ndarray:
-        """Owner-table vol lookup (driver hub plumbing); 0 when absent."""
-        if len(self.lv_own_ids) == 0:
-            return np.zeros(len(comm), np.int64)
-        pos = np.clip(np.searchsorted(self.lv_own_ids, comm), 0, len(self.lv_own_ids) - 1)
-        hit = self.lv_own_ids[pos] == comm
-        return np.where(hit, self.lv_own_vol[pos], 0)
-
-    def set_louvain_hub_state(self, vols: np.ndarray, flags: np.ndarray) -> None:
-        """vols/flags aligned to self.hubs (sorted), computed by the driver."""
-        self.lv_hub_vol = np.asarray(vols, np.int64)
-        self.lv_hub_flag = np.asarray(flags, bool)
+        if len(self.hubs):
+            self.lv_hub_vol = np.sum([p[2] for p in parts], axis=0)
+            self.lv_hub_flag = self.lv_hub_vol == np.rint(self.hub_outdeg).astype(np.int64)
 
     def louvain_move_scatter(self) -> list:
         """Phase 3 scatter: per dst-part runs of (uniq_idx, label, Σw,
@@ -1498,7 +1530,16 @@ class CsrShard:
     # level d scattering (1 + δ(v)) / σ(v) and each predecessor u at level
     # d−1 accumulating δ(u) += σ(u) · Σ msgs. Working set per shard is
     # (edges_shard × B) floats per superstep — callers size the batch.
-    # No split hubs (the matrix state has no hub-broadcast path).
+    # Salted hubs: the (dist, σ, δ) rows of the hubs are synced to every
+    # shard before each superstep, and the scatters read them there.
+    #
+    # Fixed-point mode (``betweenness_fixed``, a ``scale``): the pinned
+    # integer contract floors at the SENDER so the reduceat pre-combine
+    # stays exact and order-free:
+    #     δ(v) = σ(v) · Σ_{w: dist(w)=dist(v)+1} floor((S + δ(w)) / σ(w))
+    # (the per-edge floor-division device of katz/salsa; all int64, so the
+    # SQL oracle replays it bit-exactly with DuckDB's truncating // on
+    # non-negative operands). δ ≤ S·(n−1) per pivot — guarded below.
 
     def owned_count(self) -> int:
         return int(self.n)
@@ -1515,9 +1556,12 @@ class CsrShard:
         order = np.argsort(h, kind="stable")[: int(k)]
         return h[order], self.owned[order]
 
-    def init_bc(self, pivots: list, reset: bool = False) -> None:
+    def init_bc(self, pivots: list, reset: bool = False, scale: int | None = None) -> None:
+        """A pivot batch's forward state; ``reset`` starts the running
+        centrality over (float, or int64 with a fixed-point ``scale``)."""
         nb = len(pivots)
         self._bc_p = np.asarray(pivots, np.int64)
+        self._bc_scale = scale
         self.bc_dist = np.full((self.n, nb), INF64, np.int64)
         self.bc_sigma = np.zeros((self.n, nb), np.float64)
         loc = np.searchsorted(self.owned, self._bc_p)
@@ -1526,16 +1570,20 @@ class CsrShard:
                 self.bc_dist[loc[c], c] = 0
                 self.bc_sigma[loc[c], c] = 1.0
         if reset or getattr(self, "bc_acc", None) is None:
-            self.bc_acc = np.zeros(self.n, np.float64)
+            self.bc_acc = np.zeros(self.n, np.float64 if scale is None else np.int64)
 
-    def _bc_edge_vals(self, contrib: np.ndarray) -> list:
-        # no salted hubs here (the drivers refuse them), so every edge source is owned
-        return self._by_dst(self._src_vals(contrib), np.add)
+    def _bc_send(self, contrib, rows: tuple) -> list:
+        """Per dst-part sums of ``contrib(*rows)`` over the edges, the
+        rows (shard attributes) read at owned sources and, for salted-hub
+        sources, at the synced ``hub_<row>`` copies."""
+        own = contrib(*(getattr(self, r) for r in rows))
+        hub = contrib(*(getattr(self, "hub_" + r) for r in rows)) if len(self.hub_pos) else None
+        return self._by_dst(self._src_vals(own, hub), np.add)
 
     def scatter_bc_fwd(self, d: int) -> list:
         """Forward σ scatter: frontier (dist == d) vertices send σ."""
-        contrib = np.where(self.bc_dist == d, self.bc_sigma, 0.0)
-        return self._bc_edge_vals(contrib)
+        return self._bc_send(lambda dist, sigma: np.where(dist == d, sigma, 0.0),
+                             ("bc_dist", "bc_sigma"))
 
     def gather_bc_fwd(self, sender_refs: list, j: int, d: int) -> int:
         acc = self._combine(self._my_parts(sender_refs, j), "sum")
@@ -1544,20 +1592,37 @@ class CsrShard:
         self.bc_sigma[new] = acc[new]
         return int(new.sum())
 
+    def _bc_sig(self, sigma: np.ndarray) -> np.ndarray:
+        """σ in the backward arithmetic: float, or exact int64."""
+        return sigma if self._bc_scale is None else sigma.astype(np.int64)
+
     def init_bc_delta(self) -> None:
-        self.bc_delta = np.zeros_like(self.bc_sigma)
+        if self._bc_scale is not None and self.bc_sigma.max(initial=0.0) >= 2.0**53:
+            raise OverflowError("path counts exceed the exact float64 range")
+        self.bc_delta = np.zeros_like(self._bc_sig(self.bc_sigma))
 
     def scatter_bc_bwd(self, d: int) -> list:
-        """Backward dependency scatter: level-d vertices send
-        (1 + δ) / σ along every (undirected) edge."""
-        mask = (self.bc_dist == d) & (self.bc_sigma > 0)
-        contrib = np.where(mask, (1.0 + self.bc_delta) / np.where(mask, self.bc_sigma, 1.0), 0.0)
-        return self._bc_edge_vals(contrib)
+        """Backward dependency scatter: level-d vertices send (1 + δ) / σ
+        along every (undirected) edge — floor((S + δ) / σ) in fixed-point
+        mode."""
+        def contrib(dist, sigma, delta):
+            mask = (dist == d) & (sigma > 0)
+            if self._bc_scale is None:
+                return np.where(mask, (1.0 + delta) / np.where(mask, sigma, 1.0), 0.0)
+            sig = self._bc_sig(sigma)
+            return np.where(mask, (self._bc_scale + delta) // np.where(mask, sig, 1), 0)
+
+        return self._bc_send(contrib, ("bc_dist", "bc_sigma", "bc_delta"))
 
     def gather_bc_bwd(self, sender_refs: list, j: int, d: int) -> None:
         acc = self._combine(self._my_parts(sender_refs, j), "sum")
+        sig = self._bc_sig(self.bc_sigma)
+        if self._bc_scale is not None and int(acc.max(initial=0)) * int(
+            sig.max(initial=0)
+        ) >= 1 << 62:
+            raise OverflowError("betweenness_fixed: σ·Σfloor term exceeds the int64 guard")
         tgt = self.bc_dist == d - 1
-        self.bc_delta[tgt] += (self.bc_sigma * acc)[tgt]
+        self.bc_delta[tgt] += (sig * acc)[tgt]
 
     def finish_bc_batch(self) -> None:
         """Fold this batch's δ into the running centrality (pivots excluded
@@ -1566,7 +1631,7 @@ class CsrShard:
         loc = np.searchsorted(self.owned, self._bc_p)
         for c in range(len(self._bc_p)):
             if loc[c] < self.n and self.owned[loc[c]] == self._bc_p[c]:
-                add[loc[c], c] = 0.0
+                add[loc[c], c] = 0
         self.bc_acc += add.sum(axis=1)
         self.bc_dist = self.bc_sigma = self.bc_delta = None  # free batch state
 
@@ -1592,53 +1657,6 @@ class CsrShard:
                 "betweenness": pa.array(self.bc_acc * float(scale)),
             }
         )
-
-    # -- fixed-point integer dependency accumulation (betweenness_fixed) --
-    # The float backward pass above ships (1+δ)/σ per edge; the pinned
-    # integer contract floors at the SENDER so the reduceat pre-combine
-    # stays exact and order-free:
-    #     δ(v) = σ(v) · Σ_{w: dist(w)=dist(v)+1} floor((S + δ(w)) / σ(w))
-    # (the per-edge floor-division device of katz/salsa; all int64, so the
-    # SQL oracle replays it bit-exactly with DuckDB's truncating // on
-    # non-negative operands). δ ≤ S·(n−1) per pivot — guarded below.
-
-    def init_bc_delta_fixed(self, reset: bool = False) -> None:
-        if self.bc_sigma.max(initial=0.0) >= 2.0**53:
-            raise OverflowError("path counts exceed the exact float64 range")
-        self._bc_sigma_i = self.bc_sigma.astype(np.int64)
-        self.bc_delta_i = np.zeros(self.bc_sigma.shape, np.int64)
-        if reset or getattr(self, "bc_acc_i", None) is None:
-            self.bc_acc_i = np.zeros(self.n, np.int64)
-
-    def scatter_bc_bwd_fixed(self, d: int, scale: int) -> list:
-        mask = (self.bc_dist == d) & (self._bc_sigma_i > 0)
-        contrib = np.where(
-            mask,
-            (int(scale) + self.bc_delta_i)
-            // np.where(mask, self._bc_sigma_i, 1),
-            0,
-        )
-        return self._bc_edge_vals(contrib)
-
-    def gather_bc_bwd_fixed(self, sender_refs: list, j: int, d: int) -> None:
-        acc = self._combine(self._my_parts(sender_refs, j), "sum")
-        hi = int(acc.max(initial=0)) * int(self._bc_sigma_i.max(initial=0))
-        if hi >= 1 << 62:
-            raise OverflowError(
-                "betweenness_fixed: σ·Σfloor term exceeds the int64 guard"
-            )
-        tgt = self.bc_dist == d - 1
-        self.bc_delta_i[tgt] += (self._bc_sigma_i * acc)[tgt]
-
-    def finish_bc_batch_fixed(self) -> None:
-        add = self.bc_delta_i
-        loc = np.searchsorted(self.owned, self._bc_p)
-        for c in range(len(self._bc_p)):
-            if loc[c] < self.n and self.owned[loc[c]] == self._bc_p[c]:
-                add[loc[c], c] = 0
-        self.bc_acc_i += add.sum(axis=1)
-        self.bc_dist = self.bc_sigma = None
-        self.bc_delta_i = self._bc_sigma_i = None
 
     def walk_rows_table(self) -> pa.Table:
         rows = getattr(self, "_wk_rows", [])
@@ -1727,7 +1745,7 @@ class CsrShard:
     # starts unlabeled (-1) and adopts the weighted-majority label among
     # its LABELED neighbors — unlabeled neighbors cast no vote. Ties →
     # smallest label, the A.3 pinned rule, in both modes. State lives in
-    # self.val (int64), so the ordinary hub broadcast works unchanged.
+    # self.val (int64), so the ordinary hub sync works unchanged.
 
     def lpa_seed_init(self, seed_vids: np.ndarray, seed_labels: np.ndarray) -> int:
         """Set the seeded state; ``seed_vids`` must be sorted unique.
@@ -1803,7 +1821,7 @@ class CsrShard:
         """GraphX ``pageRank(tol)`` Pregel state after the initial message:
         rank = α, Δ = α, every vertex active (assuming α > tol).
         ``pr_msg`` is Δ masked to the active vertices — what they send, and
-        what the hub broadcast ships."""
+        what the hub sync ships."""
         self.val = np.full(self.n, alpha, np.float64)
         self.pr_active = np.full(self.n, alpha, np.float64) > tol
         self.pr_msg = np.where(self.pr_active, alpha, 0.0)
@@ -1959,18 +1977,19 @@ class CsrShard:
 
     # ------------------------------------------------ strongly connected (G8)
 
-    def scc_init(self) -> None:
-        self.scc_label = np.full(self.n, INF64)  # INF = unassigned
-        self.scc_color = np.full(self.n, INF64)
-        self.scc_reached = np.zeros(self.n, bool)
+    # SCC state lives on the directed view (labels, the color fixpoint's
+    # val); the reversed view gets what its passes need by an in-process
+    # copy on the host (``ShardHost.copy``), and hands back the same way.
 
-    def scc_reset_colors(self) -> int:
+    def scc_init(self) -> int:
+        """Every vertex unassigned (INF label); returns how many."""
+        self.scc_label = np.full(self.n, INF64)
+        return self.n
+
+    def scc_reset_colors(self) -> None:
         """color = vid for unassigned vertices, INF for assigned (min
-        identity — assigned vertices never win a propagation). Returns the
-        number of unassigned vertices left."""
-        unassigned = self.scc_label == INF64
-        self.val = np.where(unassigned, self.owned, INF64)
-        return int(unassigned.sum())
+        identity — assigned vertices never win a propagation)."""
+        self.val = np.where(self.scc_label == INF64, self.owned, INF64)
 
     def gather_min_unassigned(self, sender_refs: list, j: int) -> int:
         """Hash-min gather that never updates assigned vertices."""
@@ -1981,19 +2000,13 @@ class CsrShard:
         self.val = new
         return changed
 
-    def scc_adopt_colors(self, colors_ref) -> None:
-        """Reverse-pool adoption of the forward pool's color vector (same
-        hash partition ⇒ identical owned array) + reached init: the root
-        r of each color class (color == own vid) starts reached."""
-        colors = ray.get(colors_ref) if not isinstance(colors_ref, np.ndarray) else colors_ref
-        self.scc_color = np.asarray(colors)
+    def scc_adopt_colors(self) -> None:
+        """Reached init on the reversed view, once the directed view's
+        labels and colors were copied in as scc_label and scc_color: the
+        root r of each color class (color == own vid) starts reached."""
         unassigned = self.scc_label == INF64
         self.scc_reached = unassigned & (self.scc_color == self.owned)
         self.val = np.where(self.scc_reached, self.scc_color, INF64)
-
-    def get_colors(self):
-        """Forward pool: current color vector as an ObjectRef payload."""
-        return self.val
 
     def gather_scc_reach(self, sender_refs: list, j: int) -> int:
         """Backward pass: v becomes reached iff some in-message label equals
@@ -2020,37 +2033,27 @@ class CsrShard:
         """Record which owned vertices received ≥1 message from an
         UNASSIGNED neighbor (senders scatter val = vid|INF via
         scatter_min after scc_reset_colors; INF = assigned/no sender).
-        On the forward pool this marks has-unassigned-IN-neighbor; on the
-        reversed pool, has-unassigned-OUT-neighbor."""
+        On the directed view this marks has-unassigned-IN-neighbor; on
+        the reversed view, has-unassigned-OUT-neighbor."""
         # some message is below INF ⇔ their min is
         self.trim_has = self._combine(self._my_parts(sender_refs, j), "min") != INF64
 
-    def get_trim_has(self) -> np.ndarray:
-        return self.trim_has
-
-    def scc_trim_assign(self, other_has_ref) -> int:
+    def scc_trim_assign(self) -> tuple:
         """Assign label = own vid to every unassigned vertex missing an
-        unassigned in-neighbor OR out-neighbor; returns how many."""
-        other = ray.get(other_has_ref) if not isinstance(other_has_ref, np.ndarray) else other_has_ref
+        unassigned in-neighbor (``trim_has``) OR out-neighbor
+        (``trim_has_out``, the reversed view's flags copied in); returns
+        (#assigned, #still unassigned)."""
         unassigned = self.scc_label == INF64
-        trim = unassigned & (~self.trim_has | ~np.asarray(other))
+        trim = unassigned & (~self.trim_has | ~self.trim_has_out)
         self.scc_label = np.where(trim, self.owned, self.scc_label)
-        return int(trim.sum())
+        return int(trim.sum()), int((self.scc_label == INF64).sum())
 
     def scc_assign(self) -> int:
-        """Reverse pool: commit reached vertices (label = color); returns
-        how many were assigned this round."""
-        self.scc_label = np.where(self.scc_reached, self.scc_color, self.scc_label)
-        n = int(self.scc_reached.sum())
-        self.scc_reached = np.zeros(self.n, bool)
-        return n
-
-    def get_scc_labels(self) -> np.ndarray:
-        return self.scc_label
-
-    def scc_set_labels(self, labels_ref) -> None:
-        labels = ray.get(labels_ref) if not isinstance(labels_ref, np.ndarray) else labels_ref
-        self.scc_label = np.asarray(labels).copy()
+        """Commit the reached vertices (the reversed view's flags, copied
+        in as scc_reached): label = color, the color fixpoint's val.
+        Returns how many vertices stay unassigned."""
+        self.scc_label = np.where(self.scc_reached, self.val, self.scc_label)
+        return int((self.scc_label == INF64).sum())
 
     # ------------------------------------------------------ user aggregation
 
@@ -2098,27 +2101,30 @@ class CsrShard:
         ev = np.asarray(edge_msg(self._src_vals(self.val, self.hub_val), self.w))
         return self._by_dst(ev, self._UFUNCS[agg])
 
-    def gather_user(self, sender_refs: list, j: int, agg: str) -> pa.Table:
-        """Combine partials; return (vid, agg_value) for vertices that
-        received ≥1 message (GraphFrames aggregateMessages semantics)."""
+    def gather_user(self, sender_refs: list, j: int, agg: str) -> int:
+        """Combine partials into (vid, agg_value) for the vertices that
+        received ≥1 message (GraphFrames aggregateMessages semantics),
+        PARKED in the actor and collected through ``result_table``.
+        Returns its row count."""
         parts = self._my_parts(sender_refs, j)
         if not any(len(v) for v in parts):
-            return pa.table({"vid": pa.array([], pa.int64()),
-                             "agg_value": pa.array([], pa.float64())})
+            self._user_agg = pa.table({"vid": pa.array([], pa.int64()),
+                                       "agg_value": pa.array([], pa.float64())})
+            return 0
         acc = self._combine(parts, agg)
         got = self._combine([np.ones(len(v), bool) for v in parts], "max")
-        return pa.table(
+        self._user_agg = pa.table(
             {"vid": pa.array(self.owned[got]), "agg_value": pa.array(acc[got])}
         )
+        return self._user_agg.num_rows
 
     # ------------------------------------------- coreness H-index fixpoint
     # (Lü et al. 2016: c⁰ = degree; cₜ₊₁(v) = H({cₜ(u) : u ∈ N(v)}).
     # Requires SYMMETRIC, UNSALTED staging: every vertex's full
     # neighborhood must be shard-local, since H is not edge-decomposable.
-    # Per round the driver routes only ObjectRefs and changed counts —
-    # the per-vertex c vectors never leave the actors (round-2 verdict:
-    # the previous implementation gathered one (v, c) row per vertex to
-    # the driver EVERY round and re-broadcast a packed O(V) array).
+    # One exchange per round: owners send the c values of every sender's
+    # ghost destinations, each part reduces H over its own edges — the
+    # per-vertex c vectors never leave the actors.
 
     def hindex_init(self) -> int:
         """c⁰ = degree (Σw over the symmetric out-slice). Returns n."""
@@ -2129,19 +2135,17 @@ class CsrShard:
         return self.n
 
     def hindex_ghost_vals(self) -> list:
-        """Per-REQUESTER packed c values: element i is aligned to
-        requester i's unique-dst slice destined to this part (the cached
-        ghost index from the one-time exchange) — the pull mirror of the
-        scatter path's push."""
+        """Per-REQUESTER c values: element i is aligned to requester i's
+        unique-dst slice destined to this part (the cached ghost index
+        from the one-time exchange) — the pull mirror of the scatter
+        path's push."""
         return [self.cval[loc] for loc in self.ghost_locals]
 
-    def hindex_step(self, owner_refs: list) -> int:
-        """One H-index round: fetch each owner's packed value lists
-        (zero-copy from the object store), build per-edge neighbor values
-        via the precomputed unique-dst runs, reduce H per owned source,
+    def hindex_step(self, sender_refs: list, j: int) -> int:
+        """One H-index round: expand the owners' c values over this
+        part's edges via the unique-dst runs, reduce H per owned source,
         commit. Returns how many c values changed."""
-        resolved = ray.get(list(owner_refs))
-        nc = self._per_edge([r[self.part] for r in resolved], np.int64)
+        nc = self._per_edge(self._my_parts(sender_refs, j), np.int64)
         if self.m == 0:
             return 0
         order = np.lexsort((-nc, self.src))
@@ -2178,14 +2182,6 @@ class CsrShard:
         for col, attr in cols.items():
             setattr(self, attr, t[col].to_numpy().copy())
         self.lpa_frozen = None
-
-    def gather_user_store(self, sender_refs: list, j: int, agg: str) -> int:
-        """``gather_user`` with the result PARKED in the actor (collected
-        through ``result_table``): the Dataset-default path of
-        aggregate_messages never ships per-part message tables through
-        the driver."""
-        self._user_agg = self.gather_user(sender_refs, j, agg)
-        return self._user_agg.num_rows
 
     def user_agg_table(self) -> pa.Table:
         return self._user_agg
@@ -2318,6 +2314,13 @@ class ShardHost:
 
     def call(self, name: str, method: str, *args):
         return getattr(self.views[name], method)(*args)
+
+    def copy(self, src: str, dst: str, attrs: dict) -> None:
+        """Copy shard ``src``'s attributes into shard ``dst`` ({dst
+        attribute: src attribute}): two views of one partition own the
+        same vids, so per-vertex state moves between them in process."""
+        for a, b in attrs.items():
+            setattr(self.views[dst], a, np.copy(getattr(self.views[src], b)))
 
     # ----------------------------------------------------- view derivation
 

@@ -114,13 +114,20 @@ def _route_run(name, route, salt) -> dict:
             "ppr": ranks_df(g.personalized_pagerank(lo, max_iter=8)),
             "sp": ranks_df(g.shortest_paths([lo, hi])),
             "sssp": ranks_df(g.sssp_weighted(lo)),
+            "mis": ranks_df(g.maximal_independent_set()),
+            "salsa": ranks_df(g.salsa()),
+            "matching": ranks_df(g.maximal_matching()),
+            "louvain": ranks_df(g.louvain()),
+            "coloring": ranks_df(g.greedy_coloring()),
+            "scc": ranks_df(g.strongly_connected_components()),
+            "bc": ranks_df(g.betweenness_centrality(batch=16)),
         }
     finally:
         g.close()
 
 
 # salt_threshold=50 splits star_hub's hub (out-degree 200); the salted runs
-# also dispatch one superstep per window, the unsalted ones up to four
+# sync the hubs inside each superstep and keep the 4-superstep window
 @pytest.mark.parametrize(
     "name,salt",
     [("two_cliques_bridge", None), ("star_hub", None),

@@ -201,3 +201,44 @@ def test_betweenness_fixed_tracks_float_and_batches():
         approx = gd[v] / (2.0 * scale)
         # each floor loses < 1 per edge message; depth ≤ 8 compounds via σ
         assert abs(approx - bw) <= 1e-3 * n + 1e-9, (v, approx, bw)
+
+
+def test_salted_hub_brandes_equals_unsalted_and_networkx():
+    """star_hub's hub (degree 200) split at salt_threshold=50: the Brandes
+    family syncs the hubs' (dist, σ, δ) rows, so betweenness, its
+    fixed-point form and the path counts equal the unsalted run and the
+    oracles."""
+    edges, verts = FIX["star_hub"]
+    G = _nx_graph(edges, verts)
+    pivots = [0, 1, 200]
+    scale = 10**12
+    runs = {}
+    for salt in (None, 50):
+        g = make_graph("star_hub", salt_threshold=salt)
+        try:
+            assert bool(g._pool("undirected")[1]["hubs"]) == (salt is not None)
+            runs[salt] = [
+                g.betweenness_centrality(batch=16, as_table=True).to_pandas(),
+                g.betweenness_fixed(pivots, scale=scale, batch=2, as_table=True).to_pandas(),
+                g.shortest_path_counts(1, as_table=True).to_pandas(),
+            ]
+        finally:
+            g.close()
+    for plain, salted in zip(runs[None], runs[50]):
+        pd.testing.assert_frame_equal(
+            salted.sort_values("vid").reset_index(drop=True),
+            plain.sort_values("vid").reset_index(drop=True),
+        )
+    bc, fixed, counts = runs[50]
+    want = nx.betweenness_centrality(G, normalized=False)
+    gd = dict(zip(bc["vid"].astype(int), bc["betweenness"]))
+    assert set(gd) == set(want)
+    for v in want:
+        assert abs(gd[v] - want[v]) < 1e-9, (v, gd[v], want[v])
+    assert dict(zip(fixed["vid"].astype(int), fixed["bc_fixed"].astype(int))) == (
+        _bc_fixed_replay(G, pivots, scale, 8)
+    )
+    # from leaf 1: the hub at 1 hop, every other leaf at 2 by one path
+    c = counts.set_index("vid")
+    assert c.loc[1, "dist"] == 0 and c.loc[0, "dist"] == 1
+    assert (c.drop([0, 1])["dist"] == 2).all() and (c["sigma"] == 1).all()

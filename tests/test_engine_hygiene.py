@@ -1,5 +1,6 @@
-"""Structural guards on the CSR engine: no dead shard methods, no Ray
-Data in shard processes, and sources that compile warning-free."""
+"""Structural guards on the CSR engine: no dead shard methods, every
+exchange dispatched by the one superstep path, no Ray Data in shard
+processes, and sources that compile warning-free."""
 
 import ast
 import os
@@ -46,6 +47,75 @@ def test_every_public_csrshard_method_is_referenced():
         if uses == 0:
             dead.append(fn.name)
     assert dead == [], f"CsrShard methods nothing references: {dead}"
+
+
+def _exchange_methods(trees: dict) -> set:
+    """CsrShard's exchange methods: its gathers, which take the senders'
+    refs and the receiving part (``(..._refs, j, ...)``), and every
+    scatter named beside one in a (scatter, gather) pair anywhere. A name
+    another class also defines (the SVD++ and truss shards have their own
+    loops) is left to that class."""
+    shard = next(n for n in trees[CSR].body
+                 if isinstance(n, ast.ClassDef) and n.name == "CsrShard")
+    gathers = {
+        fn.name for fn in shard.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and len(fn.args.args) > 2
+        and fn.args.args[1].arg.endswith("_refs") and fn.args.args[2].arg == "j"
+    }
+
+    def head(node):
+        if isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant):
+            return node.elts[0].value
+        return None
+
+    names = set(gathers)
+    others = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name != "CsrShard":
+                others |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            pairs = []
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                pairs.append(node.elts)
+            if isinstance(node, ast.Call) and len(node.args) >= 5:
+                pairs.append(node.args[3:5])
+            for scatter, gather in pairs:
+                if head(gather) in gathers and head(scatter):
+                    names.add(head(scatter))
+    return names - others
+
+
+def test_exchanges_run_only_in_the_superstep():
+    """No exchange is dispatched outside ``Graph._superstep``: ``_wave``
+    and ``_scatter`` are called only from ``_superstep``/``_wave``, the
+    driver-side hub merge ``_broadcast_hubs`` is gone, and no module
+    calls a CsrShard scatter or gather by name (``a.gather_x.remote``)."""
+    trees = {p: ast.parse(src) for p, src in _sources().items()}
+    exchange = _exchange_methods(trees)
+    assert {"scatter_sum", "gather_sum", "scatter_hits_pull", "match_resolve"} <= exchange
+    bad = []
+    for path, tree in trees.items():
+        rel = os.path.relpath(path, ROOT)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name == "_broadcast_hubs":
+                bad.append(f"{rel}: defines _broadcast_hubs")
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr in ("_wave", "_scatter", "_broadcast_hubs") and fn.name not in (
+                    "_superstep", "_wave"
+                ):
+                    bad.append(f"{rel}:{node.lineno} {fn.name} uses {node.attr}")
+                if node.attr == "remote":
+                    target = node.value
+                    if isinstance(target, ast.Call) and isinstance(target.func, ast.Attribute):
+                        target = target.func.value  # x.m.options(...).remote
+                    if isinstance(target, ast.Attribute) and target.attr in exchange:
+                        bad.append(f"{rel}:{node.lineno} {fn.name} calls {target.attr}")
+    assert bad == []
 
 
 def test_importing_csr_leaves_ray_data_unimported():
