@@ -61,11 +61,13 @@ _ATEXIT_REGISTERED = False
 def register_spill(path: str) -> str:
     """Track a storage-shuffle spill directory for end-of-process cleanup.
 
-    The storage-backed shuffles (grouped_reduce / partitioned_map /
-    bucket_join / triangle + jaccard spills) write under /tmp and are read
-    lazily by downstream tasks, so they cannot be deleted eagerly; they ARE
-    safe to delete when the process exits. Long-running drivers can call
-    ``cleanup_spills()`` between pipelines once results are consumed."""
+    Every storage shuffle writes through ``state/spill.spill``, which
+    registers its /tmp directory here; plain workdirs (a Graph's default
+    one, SVD++'s, the motif, k-core and truss round directories) register
+    directly. Spills are read lazily by downstream tasks, so they
+    cannot be deleted eagerly; they ARE safe to delete when the process
+    exits. Long-running drivers can call ``cleanup_spills()`` between
+    pipelines once results are consumed."""
     global _ATEXIT_REGISTERED
     _SPILL_DIRS.append(path)
     if not _ATEXIT_REGISTERED:

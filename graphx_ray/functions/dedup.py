@@ -8,17 +8,16 @@ keep/drop decision stay distributed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle, register_spill
+from graphx_ray.context import ensure_hash_shuffle
 from graphx_ray.functions.text import fingerprint_batch
 from graphx_ray.ids import fnv1a64_words
+from graphx_ray.state.spill import per_part, spill
 
 _MERSENNE = (1 << 61) - 1
 _P61 = np.uint64(_MERSENNE)
@@ -425,72 +424,43 @@ def verify_jaccard(
     matching hashes for ALL pairs of its partition with one lexsort over
     the two exploded sides. Requires ``threshold > 0`` (pairs where either
     doc has no shingles score 0 and are dropped)."""
-    import tempfile
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from graphx_ray.ids import part_of
 
     if threshold <= 0:
         raise ValueError("verify_jaccard requires threshold > 0")
-    ensure_hash_shuffle(docs)
     P = num_partitions
 
-    sh_dir = register_spill(tempfile.mkdtemp(prefix="graphx_vj_sh_", dir="/tmp"))
-    cand_dir = register_spill(tempfile.mkdtemp(prefix="graphx_vj_cand_", dir="/tmp"))
-    mid_dir = register_spill(tempfile.mkdtemp(prefix="graphx_vj_mid_", dir="/tmp"))
-
-    def sh_tag(batch: pa.Table) -> pa.Table:
+    def sh_part(batch: pa.Table):
         t = _shingle_row_table(batch, k, id_col, text_col)
-        return t.append_column(
-            "_p", pa.array(part_of(t[id_col].to_numpy(), P), type=pa.int32())
-        )
+        return t, part_of(t[id_col].to_numpy(), P)
 
-    docs.map_batches(sh_tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        sh_dir, partition_cols=["_p"]
-    )
-
-    def cand_tag(batch: pa.Table) -> pa.Table:
+    def cand_part(batch: pa.Table):
         a = batch["a"].to_numpy()
-        return pa.table(
-            {
-                "a": pa.array(a, type=pa.int64()),
-                "b": batch["b"],
-                "_p": pa.array(part_of(a, P), type=pa.int32()),
-            }
-        )
+        return pa.table({"a": pa.array(a, type=pa.int64()), "b": batch["b"]}), part_of(a, P)
 
-    pairs.map_batches(cand_tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        cand_dir, partition_cols=["_p"]
-    )
+    def doc_index(sh: pa.Table):
+        if sh.num_rows == 0:
+            return (np.empty(0, np.int64),) * 4
+        return _sorted_doc_index(sh.select([id_col, "h"]), id_col)
 
-    def stage_a(batch: pa.Table) -> pa.Table:
-        p = int(batch["p"][0].as_py())
-        cdir = os.path.join(cand_dir, f"_p={p}")
-        sdir = os.path.join(sh_dir, f"_p={p}")
-        if not os.path.isdir(cdir):
-            return pa.table({"emitted": pa.array([0], pa.int64())})
-        cand = pq.read_table(cdir, columns=["a", "b"])
+    mid_empty = pa.table({c: pa.array([], pa.int64()) for c in ("a", "b", "na", "h")})
+
+    def stage_a(cand: pa.Table, sh: pa.Table) -> pa.Table:
+        if cand.num_rows == 0:
+            return mid_empty
         a = cand["a"].to_numpy()
         b = cand["b"].to_numpy()
-        if len(a):
-            # dedupe candidate pairs: stage B's intersection counting
-            # assumes each (pair, hash) row appears at most once per side —
-            # a duplicated input pair would inflate jaccard past 1.0
-            order = np.lexsort((b, a))
-            a, b = a[order], b[order]
-            keep = np.empty(len(a), bool)
-            keep[0] = True
-            keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-            a, b = a[keep], b[keep]
-        sid, starts, lens, hs = (
-            _sorted_doc_index(pq.read_table(sdir, columns=[id_col, "h"]), id_col)
-            if os.path.isdir(sdir)
-            else (np.empty(0, np.int64),) * 4
-        )
-        ii, h_a, na = _gather_doc_rows(a, sid, starts, lens, hs)
-        out = pa.table(
+        # dedupe candidate pairs: stage B's intersection counting assumes
+        # each (pair, hash) row appears at most once per side — a
+        # duplicated input pair would inflate jaccard past 1.0
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        keep = np.empty(len(a), bool)
+        keep[0] = True
+        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        a, b = a[keep], b[keep]
+        ii, h_a, na = _gather_doc_rows(a, *doc_index(sh))
+        return pa.table(
             {
                 "a": pa.array(a[ii], type=pa.int64()),
                 "b": pa.array(b[ii], type=pa.int64()),
@@ -498,34 +468,19 @@ def verify_jaccard(
                 "h": pa.array(h_a, type=pa.int64()),
             }
         )
-        # spill keyed by hash(b) for stage B; file name carries the source
-        # partition so concurrent writers never collide
-        bparts = part_of(out["b"].to_numpy(), P)
-        for bp in np.unique(bparts):
-            d = os.path.join(mid_dir, f"_p={int(bp)}")
-            os.makedirs(d, exist_ok=True)
-            pq.write_table(
-                out.filter(pa.array(bparts == bp)),
-                os.path.join(d, f"from-{p}.parquet"),
-            )
-        return pa.table({"emitted": pa.array([out.num_rows], pa.int64())})
 
-    rd.from_items([{"p": p} for p in range(P)]).map_batches(
-        stage_a, batch_size=1, batch_format="pyarrow"
-    ).materialize()  # barrier: stage B reads every stage-A spill
+    shingles = spill(docs, sh_part, P)
+    mid = spill(
+        per_part(stage_a, spill(pairs, cand_part, P), shingles, empty=mid_empty),
+        lambda t: (t, part_of(t["b"].to_numpy(), P)), P,
+    )
 
     empty = pa.table(
         {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
          "jaccard": pa.array([], pa.float64())}
     )
 
-    def stage_b(batch: pa.Table) -> pa.Table:
-        p = int(batch["p"][0].as_py())
-        mdir = os.path.join(mid_dir, f"_p={p}")
-        sdir = os.path.join(sh_dir, f"_p={p}")
-        if not os.path.isdir(mdir):
-            return empty
-        mid = pq.read_table(mdir)
+    def stage_b(mid: pa.Table, sh: pa.Table) -> pa.Table:
         if mid.num_rows == 0:
             return empty
         a = mid["a"].to_numpy()
@@ -541,12 +496,7 @@ def verify_jaccard(
         pk = np.cumsum(new) - 1
         p_starts = np.flatnonzero(new)
         pa_, pb, pna = a[p_starts], b[p_starts], na[p_starts]
-        sid, starts, lens, hs = (
-            _sorted_doc_index(pq.read_table(sdir, columns=[id_col, "h"]), id_col)
-            if os.path.isdir(sdir)
-            else (np.empty(0, np.int64),) * 4
-        )
-        jj, h_b, nb = _gather_doc_rows(pb, sid, starts, lens, hs)
+        jj, h_b, nb = _gather_doc_rows(pb, *doc_index(sh))
         # match counting: (pk, h) appears at most once per side; after one
         # lexsort, adjacent duplicates = intersections
         all_pk = np.concatenate([pk, jj])
@@ -568,9 +518,7 @@ def verify_jaccard(
             }
         )
 
-    return rd.from_items([{"p": p} for p in range(P)]).map_batches(
-        stage_b, batch_size=1, batch_format="pyarrow"
-    )
+    return per_part(stage_b, mid, shingles, empty=empty)
 
 
 NOVELTY_SCHEMA = pa.schema(

@@ -10,15 +10,14 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
 import ray
 from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle, register_spill
+from graphx_ray.context import ensure_hash_shuffle
+from graphx_ray.state.spill import spill
 
 
 def _matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -45,17 +44,41 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norms, 1e-30)
 
 
-class TopKScorer:
-    """Actor-pool stage: batch × broadcast-queries cosine, per-query running
-    top-k merged across batches by a final groupby-free reduction."""
+_SCORER_SLOT: list = [None, None]  # (scorer refs key, prepared arrays): one per process
 
-    def __init__(self, q_ref, qid_ref, k: int, id_col: str, vec_col: str):
-        self.q = _normalize(ray.get(q_ref).astype(np.float64))
-        self.qids = ray.get(qid_ref)
+
+class _RefScorer:
+    """Base of the top-k scoring stages, run as tasks. The broadcast arrays
+    arrive as ObjectRefs; each worker process fetches and prepares them
+    (``_prepare``) once, in a one-slot cache keyed by the refs, so they
+    never ship inside a task and another call's arrays replace them
+    instead of mixing with them."""
+
+    def __init__(self, refs: tuple, k: int, id_col: str, vec_col: str):
+        self.refs = refs
         self.k = k
         self.id_col, self.vec_col = id_col, vec_col
 
+    def _state(self) -> tuple:
+        key = (type(self).__name__,) + tuple(r.hex() for r in self.refs)
+        if _SCORER_SLOT[0] != key:
+            _SCORER_SLOT[:] = [key, self._prepare(*ray.get(list(self.refs)))]
+        return _SCORER_SLOT[1]
+
+
+class TopKScorer(_RefScorer):
+    """Task stage: batch × broadcast-queries cosine, per-query running
+    top-k merged across batches by a final groupby-free reduction."""
+
+    def __init__(self, q_ref, qid_ref, k: int, id_col: str, vec_col: str):
+        super().__init__((q_ref, qid_ref), k, id_col, vec_col)
+
+    @staticmethod
+    def _prepare(q, qids) -> tuple:
+        return _normalize(q.astype(np.float64)), qids
+
     def __call__(self, batch: pa.Table) -> pa.Table:
+        q, qids = self._state()
         ids = batch[self.id_col].to_numpy()
         m = _normalize(_matrix(batch, self.vec_col))
         if len(ids) == 0 or m.size == 0:
@@ -63,7 +86,7 @@ class TopKScorer:
                 {"query_id": pa.array([], pa.int64()), "nbr_id": pa.array([], pa.int64()),
                  "sim": pa.array([], pa.float64())}
             )
-        sims = m @ self.q.T  # (n_batch, n_queries)
+        sims = m @ q.T  # (n_batch, n_queries)
         k = min(self.k, len(ids))
         top = np.argpartition(-sims, k - 1, axis=0)[:k]  # per-query candidates
         nq = sims.shape[1]
@@ -72,7 +95,7 @@ class TopKScorer:
         # rule would keep
         kth = sims[top, np.arange(nq)[None, :]].min(axis=0)
         rows, qcols = np.nonzero(sims >= kth[None, :])
-        qcol = self.qids[qcols]
+        qcol = qids[qcols]
         ncol = ids[rows]
         scol = sims[rows, qcols]
         return pa.table(
@@ -95,19 +118,22 @@ def brute_force_topk(
     concurrency: int = 4,
 ) -> pa.Table:
     """Exact cosine top-k per query. Per-batch partial top-k (combiner),
-    final exact top-k on the (tiny) union of partials."""
+    final exact top-k on the (tiny) union of partials. ``concurrency``
+    caps the number of concurrent scoring tasks."""
     q_ref = ray.put(np.asarray(queries, dtype=np.float64))
     qid_ref = ray.put(np.asarray(query_ids, dtype=np.int64))
-    partials = vectors.map_batches(
-        TopKScorer,
-        fn_constructor_args=(q_ref, qid_ref, k, id_col, vec_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-        batch_size=4096,
-        num_cpus=0.5,  # fractional: a full-CPU pool can starve the upstream read tasks (deadlock on small nodes)
+    return _final_topk(_score(vectors, TopKScorer(q_ref, qid_ref, k, id_col, vec_col),
+                              concurrency), k)
+
+
+def _score(vectors: Dataset, scorer: _RefScorer, concurrency: int) -> Dataset:
+    """Per-batch partial top-ks of ``scorer``, as tasks: a stage holding
+    no data reserves no CPU (a half-CPU actor pool of four stalled a
+    2-CPU session), and ``concurrency`` caps the tasks."""
+    return vectors.map_batches(
+        scorer, batch_format="pyarrow", zero_copy_batch=True,
+        concurrency=concurrency, batch_size=4096,
     )
-    return _final_topk(partials, k)
 
 
 def _final_topk(partials: Dataset, k: int) -> pa.Table:
@@ -143,29 +169,17 @@ def cosine_near_dup_pairs(
     does a single (n/B × n/B) matmul. Work is the honest O(n²·d/B) of an
     exact all-pairs scan, spread over B·(B+1)/2 independent tasks — the
     approximate scale path is ``cosine_near_dup_lsh``."""
-    import tempfile
-
     import pyarrow.parquet as pq
     import ray.data as rd
 
     from graphx_ray.ids import part_of
 
-    ensure_hash_shuffle(vectors)
     B = num_buckets
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                vec_col: batch[vec_col],
-                "_bk": pa.array(part_of(batch[id_col].to_numpy(), B), type=pa.int32()),
-            }
-        )
-
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_cnd_", dir="/tmp"))
-    vectors.select_columns([id_col, vec_col]).map_batches(
-        tag, batch_format="pyarrow", zero_copy_batch=True
-    ).write_parquet(spill, partition_cols=["_bk"])
+    buckets = spill(
+        vectors,
+        lambda b: (b.select([id_col, vec_col]), part_of(b[id_col].to_numpy(), B)),
+        B,
+    )
 
     empty = pa.table(
         {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
@@ -173,8 +187,8 @@ def cosine_near_dup_pairs(
     )
 
     def load(bk: int):
-        d = os.path.join(spill, f"_bk={bk}")
-        if not os.path.isdir(d):
+        d = buckets.path(bk)
+        if d is None:
             return np.empty(0, np.int64), np.empty((0, 0))
         t = pq.read_table(d, columns=[id_col, vec_col])
         ids = t[id_col].to_numpy()
@@ -634,13 +648,13 @@ def pq_codebooks(
     return cent
 
 
-class PqScorer:
-    """Actor-pool ADC stage: encode each batch against the broadcast
+class PqScorer(_RefScorer):
+    """Task ADC stage: encode each batch against the broadcast
     codebooks (argmin squared-L2 per subspace, ties → lowest code) and
     score every query by the asymmetric-distance LUT — dist(q, x) =
     Σ_j ||q_j − c_{j,code_j(x)}||², emitted as sim = −dist so the
     shared (sim DESC, nbr_id ASC) top-k reduction ranks ascending
-    distance. LUT built once per actor in ``__init__``.
+    distance. The LUT is built once per worker process (``_prepare``).
 
     The LUT is rounded to int64 MICRO-units (floor(d·1e6 + 0.5)) BEFORE
     the m-way sum: PQ has massive EXACT distance ties (only kᵐ distinct
@@ -650,18 +664,19 @@ class PqScorer:
     (the flake the first full-gate run actually caught)."""
 
     def __init__(self, cb_ref, q_ref, qid_ref, k: int, id_col: str, vec_col: str):
-        self.cb = ray.get(cb_ref)  # (m, kk, dsub)
-        q = np.asarray(ray.get(q_ref), dtype=np.float64)
-        self.qids = ray.get(qid_ref)
-        m, kk, dsub = self.cb.shape
+        super().__init__((cb_ref, q_ref, qid_ref), k, id_col, vec_col)
+
+    @staticmethod
+    def _prepare(cb, q, qids) -> tuple:
+        q = np.asarray(q, dtype=np.float64)
+        m, kk, dsub = cb.shape  # (m, kk, dsub)
         qs = q.reshape(len(q), m, dsub)
         # (nq, m, kk): per-query per-subspace distance to every codeword
-        lut = ((qs[:, :, None, :] - self.cb[None, :, :, :]) ** 2).sum(axis=3)
-        self.lut = np.floor(lut * PQ_DIST_SCALE + 0.5).astype(np.int64)
-        self.k = k
-        self.id_col, self.vec_col = id_col, vec_col
+        lut = ((qs[:, :, None, :] - cb[None, :, :, :]) ** 2).sum(axis=3)
+        return cb, np.floor(lut * PQ_DIST_SCALE + 0.5).astype(np.int64), qids
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        cb, lut, qids = self._state()
         ids = batch[self.id_col].to_numpy()
         empty = pa.table(
             {"query_id": pa.array([], pa.int64()), "nbr_id": pa.array([], pa.int64()),
@@ -670,12 +685,12 @@ class PqScorer:
         if len(ids) == 0:
             return empty
         mm = _matrix(batch, self.vec_col)
-        m, kk, dsub = self.cb.shape
+        m, kk, dsub = cb.shape
         sv = mm.reshape(len(mm), m, dsub)
-        dist = np.zeros((len(mm), self.lut.shape[0]), np.int64)
+        dist = np.zeros((len(mm), lut.shape[0]), np.int64)
         for j in range(m):
-            code = _assign_nearest(sv[:, j, :], self.cb[j])
-            dist += self.lut[:, j, code].T  # (n, nq)
+            code = _assign_nearest(sv[:, j, :], cb[j])
+            dist += lut[:, j, code].T  # (n, nq)
         sims = -dist
         k = min(self.k, len(ids))
         top = np.argpartition(-sims, k - 1, axis=0)[:k]
@@ -684,7 +699,7 @@ class PqScorer:
         rows, qcols = np.nonzero(sims >= kth[None, :])
         return pa.table(
             {
-                "query_id": pa.array(self.qids[qcols], type=pa.int64()),
+                "query_id": pa.array(qids[qcols], type=pa.int64()),
                 "nbr_id": pa.array(ids[rows], type=pa.int64()),
                 "sim": pa.array(sims[rows, qcols].astype(np.int64)),
             }
@@ -727,16 +742,8 @@ def pq_topk(
     cb_ref = ray.put(cb)
     q_ref = ray.put(np.asarray(queries, dtype=np.float64))
     qid_ref = ray.put(np.asarray(query_ids, dtype=np.int64))
-    partials = vectors.map_batches(
-        PqScorer,
-        fn_constructor_args=(cb_ref, q_ref, qid_ref, k, id_col, vec_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-        batch_size=4096,
-        num_cpus=0.5,  # fractional: full-CPU pools starve upstream reads
-    )
-    return _final_topk(partials, k)
+    scorer = PqScorer(cb_ref, q_ref, qid_ref, k, id_col, vec_col)
+    return _final_topk(_score(vectors, scorer, concurrency), k)
 
 
 def _blocked_dup_mask(
@@ -869,8 +876,8 @@ def _quantize_i8(m: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.clip(q, -127, 127).astype(np.int64)
 
 
-class QuantizedTopKScorer:
-    """Actor-pool stage: int8-quantized dot-product top-k. Quantizing to
+class QuantizedTopKScorer(_RefScorer):
+    """Task stage: int8-quantized dot-product top-k. Quantizing to
     int8 cuts index memory 4× vs float32 and makes every score an EXACT
     int64 (Σ|q|² ≤ D·127² ≪ 2⁵³) — scores, ranks, and ties are
     bit-reproducible at any parallelism and in the SQL replay, unlike
@@ -878,14 +885,14 @@ class QuantizedTopKScorer:
     (faiss SQ8 shape)."""
 
     def __init__(self, q_ref, qid_ref, scale_ref, k: int, id_col: str, vec_col: str):
-        scale = ray.get(scale_ref)
-        self.scale = scale
-        self.q = _quantize_i8(ray.get(q_ref).astype(np.float64), scale)
-        self.qids = ray.get(qid_ref)
-        self.k = k
-        self.id_col, self.vec_col = id_col, vec_col
+        super().__init__((q_ref, qid_ref, scale_ref), k, id_col, vec_col)
+
+    @staticmethod
+    def _prepare(q, qids, scale) -> tuple:
+        return _quantize_i8(q.astype(np.float64), scale), qids, scale
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        q, qids, scale = self._state()
         ids = batch[self.id_col].to_numpy()
         m = _matrix(batch, self.vec_col)
         if len(ids) == 0 or m.size == 0:
@@ -894,8 +901,8 @@ class QuantizedTopKScorer:
                  "nbr_id": pa.array([], pa.int64()),
                  "sim": pa.array([], pa.int64())}
             )
-        qm = _quantize_i8(m, self.scale)
-        sims = qm @ self.q.T  # exact int64 (n_batch, n_queries)
+        qm = _quantize_i8(m, scale)
+        sims = qm @ q.T  # exact int64 (n_batch, n_queries)
         k = min(self.k, len(ids))
         top = np.argpartition(-sims, k - 1, axis=0)[:k]
         nq = sims.shape[1]
@@ -903,7 +910,7 @@ class QuantizedTopKScorer:
         rows, qcols = np.nonzero(sims >= kth[None, :])
         return pa.table(
             {
-                "query_id": pa.array(self.qids[qcols], type=pa.int64()),
+                "query_id": pa.array(qids[qcols], type=pa.int64()),
                 "nbr_id": pa.array(ids[rows], type=pa.int64()),
                 "sim": pa.array(sims[rows, qcols].astype(np.int64)),
             }
@@ -931,16 +938,8 @@ def quantized_topk(
     q_ref = ray.put(np.asarray(queries, dtype=np.float64))
     qid_ref = ray.put(np.asarray(query_ids, dtype=np.int64))
     scale_ref = ray.put(np.asarray(scale, dtype=np.float64))
-    partials = vectors.map_batches(
-        QuantizedTopKScorer,
-        fn_constructor_args=(q_ref, qid_ref, scale_ref, k, id_col, vec_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
-        batch_size=4096,
-        num_cpus=0.5,
-    )
-    return _final_topk(partials, k)
+    scorer = QuantizedTopKScorer(q_ref, qid_ref, scale_ref, k, id_col, vec_col)
+    return _final_topk(_score(vectors, scorer, concurrency), k)
 
 
 def knn_graph(

@@ -1640,33 +1640,18 @@ class Graph:
             # hash-partitioned staging (the stage_graph pattern): each shard
             # loads only its slice — the vertex table never touches the driver
             from graphx_ray.ids import part_of
+            from graphx_ray.state.spill import spill
 
             vds = _as_dataset(vertex_values)
-            sch = vds.schema()
-            value_col = next(c for c in sch.names if c != "vid")
-            udir = os.path.join(self.workdir, f"uservals_{variant}")
-            shutil.rmtree(udir, ignore_errors=True)
+            value_col = next(c for c in vds.schema().names if c != "vid")
             P = self.P
-
-            def tagp(batch: pa.Table) -> pa.Table:
-                vid = batch["vid"].to_numpy()
-                return pa.table(
-                    {
-                        "vid": batch["vid"],
-                        value_col: batch[value_col],
-                        "part": pa.array(part_of(vid, P), type=pa.int32()),
-                    }
-                )
-
-            vds.map_batches(tagp, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-                udir, partition_cols=["part"]
+            vals = spill(
+                vds,
+                lambda b: (b.select(["vid", value_col]), part_of(b["vid"].to_numpy(), P)),
+                P, out=os.path.join(self.workdir, f"uservals_{variant}"),
             )
-            ray.get(
-                [
-                    a.load_values_partition.remote(os.path.join(udir, f"part={p}"), value_col)
-                    for p, a in enumerate(actors)
-                ]
-            )
+            ray.get([a.load_values_partition.remote(vals.path(p), value_col)
+                     for p, a in enumerate(actors)])
         rec = self._supersteps(
             actors, man, "aggregate_messages", ("scatter_user", edge_msg, agg),
             ("gather_user", agg), max_iter=1,

@@ -48,6 +48,8 @@ if TYPE_CHECKING:
     # out of their processes
     from ray.data import Dataset
 
+    from graphx_ray.state.spill import Spill
+
 
 def u01(vids: np.ndarray, stream: int, col: int, seed: int) -> np.ndarray:
     """Deterministic uniform [0,1) per (vid, stream, col) — the pinned
@@ -67,7 +69,7 @@ def init_factors(vids: np.ndarray, rank: int, stream: int, seed: int) -> np.ndar
 class _SvdppShard:
     """One partition: user slice + its edges (CSR by item part) + item slice."""
 
-    def __init__(self, part: int, num_parts: int, edge_dir: str, rank: int,
+    def __init__(self, part: int, num_parts: int, ratings: Spill, rank: int,
                  seed: int, g1: float, g2: float, g6: float, g7: float,
                  min_val: float, max_val: float):
         self.part, self.P, self.f = part, num_parts, rank
@@ -75,8 +77,8 @@ class _SvdppShard:
         self.g1, self.g2, self.g6, self.g7 = g1, g2, g6, g7
         self.lo, self.hi = min_val, max_val
 
-        edir = os.path.join(edge_dir, f"src_part={part}")
-        if os.path.isdir(edir):
+        edir = ratings.path(part)
+        if edir is not None:
             et = pq.read_table(edir, columns=["src", "dst", "r"])
             src = et["src"].to_numpy()
             dst = et["dst"].to_numpy()
@@ -275,33 +277,28 @@ class _SvdppShard:
 
 def _load_ratings(edges, num_parts, workdir, prefix: str, shard_cls, *args):
     """Stage a ratings edge table hash-partitioned by user and load one
-    ``shard_cls(part, P, edge_dir, *args)`` per part onto recycled shard
-    hosts. Returns (P, workdir, hosts, view handles); the caller parks
+    ``shard_cls(part, P, ratings_spill, *args)`` per part onto recycled
+    shard hosts. Returns (P, workdir, hosts, view handles); the caller parks
     the hosts when done."""
-    from graphx_ray.context import ensure_hash_shuffle, register_spill
+    from graphx_ray.context import register_spill
     from graphx_ray.pipelines.graph import _as_dataset, _default_parts, _load_hosts, _View
+    from graphx_ray.state.spill import spill
 
     edges = _as_dataset(edges)
-    ensure_hash_shuffle(edges)
     P = num_parts or _default_parts()
     wd = workdir or register_spill(tempfile.mkdtemp(prefix=prefix, dir="/tmp"))
-    edge_dir = os.path.join(wd, "edges")
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def part(batch: pa.Table):
         src = batch["src"].to_numpy()
         rcol = "r" if "r" in batch.column_names else "w"
         return pa.table({
             "src": pa.array(src, type=pa.int64()),
             "dst": batch["dst"].cast(pa.int64()),
             "r": batch[rcol].cast(pa.float64()),
-            "src_part": pa.array(part_of(src, P), type=pa.int32()),
-        })
+        }), part_of(src, P)
 
-    shutil.rmtree(edge_dir, ignore_errors=True)
-    edges.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        edge_dir, partition_cols=["src_part"]
-    )
-    hosts = _load_hosts(P, "svdpp", shard_cls, P, edge_dir, *args)
+    ratings = spill(edges, part, P, out=os.path.join(wd, "edges"))
+    hosts = _load_hosts(P, "svdpp", shard_cls, P, ratings, *args)
     return P, wd, hosts, [_View(h, "svdpp") for h in hosts]
 
 

@@ -28,7 +28,7 @@ degree vector and the zero-filled result in driver pandas):
   idx(v) = part_offset[part_of(v)] + rank of v inside its sorted part —
   injective and consistent across tasks with no global sorted array;
 - orientation runs inside ``map_batches`` against those parts;
-- oriented edges spill ONCE, hive-partitioned by ``pbucket = idx(a) % B``
+- oriented edges spill ONCE, partitioned by bucket ``idx(a) % B``
   — a pure function of the source vertex, so the same partitioning serves
   the probe index build (one Ray task per bucket sorts its packed keys
   into the object store; the driver holds only ObjectRefs) AND wedge
@@ -48,9 +48,6 @@ merge join per bucket (SURVEY.md G5 scale note).
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -59,9 +56,10 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle, register_spill
+from graphx_ray.context import ensure_hash_shuffle
 from graphx_ray.ids import part_of
 from graphx_ray.stages.derive import canonical_edges, grouped_reduce
+from graphx_ray.state.spill import Spill, per_part, spill
 
 _EMPTY_TRI = pa.table(
     {"vid": pa.array([], type=pa.int64()), "cnt": pa.array([], type=pa.int64())}
@@ -74,10 +72,10 @@ TASK_WEDGES = 100_000_000
 
 
 @ray.remote
-def _load_deg_part(part_dir: str):
+def _load_deg_part(part_dir: str | None):
     """One degree partition as (sorted vids, aligned degrees) numpy arrays
     in the object store — the driver keeps only the ObjectRef."""
-    if not os.path.isdir(part_dir):
+    if part_dir is None:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     t = pq.read_table(part_dir, columns=["vid", "d"])
     vids = t["vid"].to_numpy()
@@ -117,7 +115,7 @@ class _DegParts:
         return idx, dg
 
 
-def _degree_parts(canon: Dataset, DP: int) -> tuple["_DegParts", int, str]:
+def _degree_parts(canon: Dataset, DP: int) -> tuple["_DegParts", int, Spill]:
     """Distributed canonical degrees → DP object-store parts. Driver state:
     DP ObjectRefs + DP sizes (ints)."""
 
@@ -137,18 +135,10 @@ def _degree_parts(canon: Dataset, DP: int) -> tuple["_DegParts", int, str]:
         num_partitions=8,
     )
 
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "dp", pa.array(part_of(batch["vid"].to_numpy(), DP), type=pa.int32())
-        )
-
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_tri_deg_", dir="/tmp"))
-    deg.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["dp"]
-    )
-    refs = [_load_deg_part.remote(os.path.join(spill, f"dp={j}")) for j in range(DP)]
+    degs = spill(deg, lambda b: (b, part_of(b["vid"].to_numpy(), DP)), DP)
+    refs = [_load_deg_part.remote(degs.path(j)) for j in range(DP)]
     sizes = ray.get([_part_size.remote(r) for r in refs])
-    return _DegParts(refs, sizes, DP), int(sum(sizes)), spill
+    return _DegParts(refs, sizes, DP), int(sum(sizes)), degs
 
 
 @ray.remote
@@ -157,10 +147,10 @@ def _part_size(part) -> int:
 
 
 @ray.remote
-def _build_bucket(bucket_dir: str) -> np.ndarray:
+def _build_bucket(bucket_dir: str | None) -> np.ndarray:
     """Sorted packed (idx_b·nv + idx_c) keys of one probe bucket — returned
     into the object store; the driver keeps only the ObjectRef."""
-    if not os.path.isdir(bucket_dir):
+    if bucket_dir is None:
         return np.empty(0, np.int64)
     t = pq.read_table(bucket_dir, columns=["pack"])
     pk = t["pack"].to_numpy().copy()
@@ -179,7 +169,7 @@ def triangle_count(edges, vertices=None, *, num_parts: int = 16) -> Dataset:
     canon = canonical_edges(edges)
 
     DP = max(2, num_parts)
-    degp, nv, deg_spill = _degree_parts(canon, DP)
+    degp, nv, degs = _degree_parts(canon, DP)
     if nv >= 3_000_000_000:
         raise NotImplementedError(
             "packed int64 probe keys require nv < 3e9; use the two-column "
@@ -188,20 +178,18 @@ def triangle_count(edges, vertices=None, *, num_parts: int = 16) -> Dataset:
     counts = (
         _oriented_counts(canon, degp, nv, B=DP) if nv else rd.from_arrow(_EMPTY_TRI)
     )
-    return _with_zeros(counts, vertices, deg_spill)
+    return _with_zeros(counts, vertices, degs)
 
 
 def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Dataset:
     """(vid, cnt) of triangle members only — the wedge-probe core."""
 
-    # orientation + ONE spill: pbucket = idx(a) % B is a pure function of
-    # the source vertex, so the same hive partitioning serves BOTH the probe
-    # index build (pack column of pbucket=i) AND wedge enumeration (all of
+    # orientation + ONE spill: bucket idx(a) % B is a pure function of
+    # the source vertex, so the same partitioning serves BOTH the probe
+    # index build (pack column of bucket i) AND wedge enumeration (all of
     # a's out-edges are co-resident in a's bucket) — one pass over canon,
     # one write, no duplicate execution of the canonical dedup.
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_tri_", dir="/tmp"))
-
-    def orient(batch: pa.Table) -> pa.Table:
+    def orient(batch: pa.Table):
         u = batch["u"].to_numpy()
         v = batch["v"].to_numpy()
         iu, du = degp.lookup(u)
@@ -218,18 +206,11 @@ def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Datase
                 "bi": pa.array(ib, type=pa.int64()),
                 "bd": pa.array(np.where(u_first, dw, du), type=pa.int64()),
                 "pack": pa.array(ia * nv + ib, type=pa.int64()),
-                "pbucket": pa.array((ia % B).astype(np.int32), type=pa.int32()),
             }
-        )
+        ), ia % B
 
-    canon.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["pbucket"]
-    )
-
-    bucket_refs = [
-        _build_bucket.remote(os.path.join(spill, f"pbucket={i}"))
-        for i in range(B)
-    ]
+    oriented = spill(canon, orient, B)
+    bucket_refs = [_build_bucket.remote(oriented.path(i)) for i in range(B)]
 
     def _load_sorted(d: str):
         """Partition edges grouped by a (orientation-ordered within a) +
@@ -257,8 +238,6 @@ def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Datase
     def _wedge_total(d: str) -> int:
         """Cheap pre-pass: Σ c·(c−1)/2 over this partition's source runs —
         used to slice the wedge work into even tasks."""
-        if not os.path.isdir(d):
-            return 0
         c = np.unique(pq.read_table(d, columns=["a"])["a"].to_numpy(), return_counts=True)[1]
         return int((c * (c - 1) // 2).sum())
 
@@ -272,8 +251,6 @@ def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Datase
         d = batch["dir"][0].as_py()
         lo = int(batch["lo"][0].as_py())
         hi = int(batch["hi"][0].as_py())
-        if not os.path.isdir(d):
-            return _EMPTY_TRI
         loaded = _load_sorted(d)
         if loaded is None:
             return _EMPTY_TRI
@@ -327,7 +304,7 @@ def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Datase
         c = np.bincount(inv, weights=allc).astype(np.int64)
         return pa.table({"vid": pa.array(uniq, type=pa.int64()), "cnt": pa.array(c)})
 
-    dirs = [os.path.join(spill, f"pbucket={p}") for p in range(B)]
+    dirs = [oriented.path(p) for p in oriented.parts]
     totals = ray.get([_wedge_total.remote(d) for d in dirs])
     items = []
     for d, tot in zip(dirs, totals):
@@ -338,7 +315,7 @@ def _oriented_counts(canon: Dataset, degp: _DegParts, nv: int, B: int) -> Datase
     )
 
 
-def _with_zeros(counts: Dataset, vertices, deg_spill: str | None) -> Dataset:
+def _with_zeros(counts: Dataset, vertices, degs: Spill) -> Dataset:
     """GraphFrames returns a count for EVERY vertex (0 included) — realized
     as a distributed union of (vid, cnt) partials with (vid, 0) rows from
     the degree spill (every edge endpoint) and the user vertex table
@@ -346,11 +323,8 @@ def _with_zeros(counts: Dataset, vertices, deg_spill: str | None) -> Dataset:
     from graphx_ray.pipelines.graph import _as_dataset
 
     srcs = [counts]
-    if deg_spill is not None and os.path.isdir(deg_spill) and os.listdir(deg_spill):
-        zeros = rd.read_parquet(deg_spill, columns=["vid"])
-        srcs.append(
-            zeros.map_batches(_zero_rows, batch_format="pyarrow", zero_copy_batch=True)
-        )
+    if degs.parts:
+        srcs.append(per_part(_zero_rows, degs, empty=_EMPTY_TRI))
     if vertices is not None:
         vds = _as_dataset(vertices).select_columns(["vid"])
         srcs.append(

@@ -36,132 +36,21 @@ from ray.data import Dataset
 from ray.data.aggregate import Min
 
 from graphx_ray import schemas
-from graphx_ray.context import ensure_hash_shuffle, register_spill
+from graphx_ray.context import ensure_hash_shuffle
 from graphx_ray.ids import vid_for
+from graphx_ray.state.spill import Spill, arrow_schema, hash_parts, per_part, spill, split
 
 _EDGE_EMPTY = schemas.EDGES.empty_table()
 
 
-def _gpart_of(
-    batch: pa.Table, keys: list[str], num_partitions: int, salt: int = 0
-) -> np.ndarray:
-    """Partition id from the FULL key tuple (per-column hashes mixed):
-    partitioning by one key alone sends a hub first-key's whole group set
-    to a single partition — the skew these spills exist to kill.
-
-    ``salt`` re-mixes the tuple hash so the oversized-partition splitter
-    gets an INDEPENDENT distribution per level (a plain second modulus of
-    the same hash is constant inside a first-level partition); salt=0 is
-    bit-identical to the historical ids."""
-    from graphx_ray.ids import hash_text64, mix64
-
-    init = np.uint64(0x9E3779B97F4A7C15)
-    if salt:
-        init ^= mix64(np.uint64(salt))
-    kv = np.full(batch.num_rows, init, dtype=np.uint64)
-    for k in keys:
-        col = batch[k]
-        if pa.types.is_integer(col.type):
-            v = col.to_numpy().astype(np.uint64)
-        else:
-            v = hash_text64(col.to_pandas())
-        kv = mix64(kv ^ v)
-    return (kv % np.uint64(num_partitions)).astype(np.int32)
-
-
-def spill_target_bytes() -> int:
-    """Per-partition-task byte bound for the storage shuffles — one task
-    reads a whole partition directory, so this caps task working set at
-    100 TB regardless of the caller's ``num_partitions``. Override with
-    GRAFT_SPILL_TARGET_BYTES (tests use tiny values to exercise the
-    splitter at toy scale)."""
-    return int(os.environ.get("GRAFT_SPILL_TARGET_BYTES", 2 << 30))
-
-
-def _dir_bytes(d: str) -> int:
-    return sum(
-        os.path.getsize(os.path.join(d, f))
-        for f in os.listdir(d)
-        if f.endswith(".parquet")
-    )
-
-
-def _split_oversized(
-    part_dirs: list[str], keys: list[str], target_bytes: int
-) -> list[str]:
-    """Re-spill any partition directory larger than ``target_bytes`` into
-    ~bytes/target sub-partitions with a salted full-key-tuple hash —
-    key groups stay whole (same keys ⇒ same sub-partition), so
-    group-local kernels and keyed reduces are unaffected. A single hot
-    key cannot split (its salted hash is one value); such a directory is
-    kept whole after bounded retries — the caller's kernel owns that
-    worst case. Up to 3 salt levels bound pathological skew."""
-    import glob as _glob
-    import tempfile
-
-    import ray.data as rd
-
-    out: list[str] = []
-    queue = [(d, 1) for d in part_dirs]
-    while queue:
-        d, lvl = queue.pop()
-        b = _dir_bytes(d)
-        if b <= target_bytes or lvl > 3:
-            out.append(d)
-            continue
-        nsub = int(min(256, max(2, -(-b // target_bytes))))
-        files = sorted(_glob.glob(os.path.join(d, "*.parquet")))
-        sub = register_spill(tempfile.mkdtemp(prefix="graphx_sub_", dir="/tmp"))
-
-        def tag(batch: pa.Table, _n=nsub, _l=lvl) -> pa.Table:
-            if "_gpart" in batch.column_names:
-                # read_parquet hive-parses the parent `_gpart=K` path
-                # segment back into a column — the re-spill replaces it
-                batch = batch.drop_columns(["_gpart"])
-            return batch.append_column(
-                "_gpart", pa.array(_gpart_of(batch, keys, _n, salt=_l), type=pa.int32())
-            )
-
-        sds = rd.read_parquet(files)
-        ensure_hash_shuffle(sds)
-        sds.map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(sub, partition_cols=["_gpart"])
-        subs = sorted(_glob.glob(os.path.join(sub, "_gpart=*")))
-        if len(subs) <= 1:  # one hot key — a salted re-hash cannot split it
-            out.append(subs[0] if subs else d)
-            continue
-        queue.extend((s, lvl + 1) for s in subs)
-    return sorted(out)
-
-
-def hash_spill(
-    ds: Dataset, keys: list[str], num_partitions: int,
-    target_bytes: int | None = None,
-) -> list[str]:
-    """Storage-backed hash shuffle: spill ``ds`` to hive-partitioned parquet
-    keyed by the full key-tuple hash; returns the partition directories.
-    The common front half of ``partitioned_map`` / skew-sliced kernels.
-    Directories above ``target_bytes`` (default ``spill_target_bytes()``)
-    are re-split with a salted hash so ``num_partitions`` never has to be
-    sized to the input — one task per returned dir stays memory-bounded."""
-    import glob as _glob
-    import tempfile
-
-    ensure_hash_shuffle(ds)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_gpart", pa.array(_gpart_of(batch, keys, num_partitions), type=pa.int32())
-        )
-
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_pm_", dir="/tmp"))
-    ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["_gpart"]
-    )
-    part_dirs = sorted(_glob.glob(os.path.join(spill, "_gpart=*")))
-    return _split_oversized(
-        part_dirs, keys, target_bytes if target_bytes is not None else spill_target_bytes()
+def hash_spill(ds: Dataset, keys: list[str], num_partitions: int) -> Spill:
+    """Storage-backed hash shuffle keyed by the full key-tuple hash, parts
+    above ``spill.TARGET_BYTES`` re-split (``spill.split``) so
+    ``num_partitions`` never has to be sized to the input. The front half
+    of ``partitioned_map`` and the skew-sliced kernels."""
+    return split(
+        spill(ds, lambda b: (b, hash_parts(b, keys, num_partitions)), num_partitions),
+        keys,
     )
 
 
@@ -187,31 +76,15 @@ def partitioned_map(
     directory reads it back whole and applies ``fn``. Same pattern (and
     the same deadlock/skew rationale) as ``grouped_reduce``.
     """
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    part_dirs = hash_spill(ds, keys, num_partitions)
-    if not part_dirs:
+    def empty() -> pa.Table:
         if empty_schema is not None:
-            return rd.from_arrow(empty_schema.empty_table())
-        # derive fn's OUTPUT schema by running it on an empty input table —
-        # returning the input schema here would break downstream stages on
+            return empty_schema.empty_table()
+        # fn's OUTPUT schema, from running it on an empty input table —
+        # returning the input schema would break downstream stages on
         # exactly (and only) empty inputs
-        sch = ds.schema()
-        fields = (
-            [pa.field(n, t) for n, t in zip(sch.names, sch.types)]
-            if sch is not None and sch.names
-            else []
-        )
-        return rd.from_arrow(fn(pa.schema(fields).empty_table()))
+        return fn(arrow_schema(ds).empty_table())
 
-    def run(batch: pa.Table) -> pa.Table:
-        d = batch["dir"][0].as_py()
-        return fn(pq.read_table(d))
-
-    return rd.from_items([{"dir": d} for d in part_dirs]).map_batches(
-        run, batch_size=1, batch_format="pyarrow"
-    )
+    return per_part(fn, hash_spill(ds, keys, num_partitions), empty=empty)
 
 
 def grouped_reduce(
@@ -242,56 +115,24 @@ def grouped_reduce(
     reduced per group with ``agg`` ∈ {sum, max, min}; ``agg_cols`` maps
     several columns to per-column aggs at once (windowed aggregates need
     count+sum+min+max in one pass); other columns are dropped."""
-    import glob as _glob
-    import tempfile
-
-    import ray.data as rd
-
-    from graphx_ray.ids import hash_text64, mix64
-
-    ensure_hash_shuffle(ds)
     if agg_cols is None:
         agg_cols = {sum_col: agg} if sum_col else {}
     acols = list(agg_cols)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        cols = {k: batch[k] for k in keys}
-        for c in acols:
-            cols[c] = batch[c]
-        cols["_gpart"] = pa.array(
-            _gpart_of(batch, keys, num_partitions), type=pa.int32()
-        )
-        return pa.table(cols)
+    def part(batch: pa.Table):
+        cols = {c: batch[c] for c in keys + acols}
+        return pa.table(cols), hash_parts(batch, keys, num_partitions)
 
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_gr_", dir="/tmp"))
-    ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["_gpart"]
-    )
-    part_dirs = _split_oversized(
-        sorted(_glob.glob(os.path.join(spill, "_gpart=*"))),
-        keys,
-        spill_target_bytes(),
-    )
+    s = split(spill(ds, part, num_partitions), keys)
     if stats_out is not None:
-        # skew metric (S5): bytes per partition directory — proves the
-        # full-tuple hash keeps the spread bounded on Zipf-keyed inputs
-        sizes = [
-            sum(
-                os.path.getsize(os.path.join(d, f))
-                for f in os.listdir(d)
-                if f.endswith(".parquet")
-            )
-            for d in part_dirs
-        ]
+        # skew metric (S5): bytes per part — proves the full-tuple hash
+        # keeps the spread bounded on Zipf-keyed inputs
+        sizes = [s.nbytes(p) for p in s.parts]
         stats_out["partition_bytes"] = sizes
         stats_out["max_partition_bytes"] = max(sizes, default=0)
         stats_out["mean_partition_bytes"] = (sum(sizes) / len(sizes)) if sizes else 0
 
     def block(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        d = batch["dir"][0].as_py()
-        batch = pq.read_table(d, columns=keys + acols)
         n = batch.num_rows
         out_schema = pa.schema(
             [batch.schema.field(k) for k in keys]
@@ -332,26 +173,15 @@ def grouped_reduce(
             )
         return pa.table(data, schema=out_schema)
 
-    if not part_dirs:  # empty input → empty result with the right schema
-        sch = ds.schema()
-        if sch is not None and sch.names:
-            fields = [
-                pa.field(n, t)
-                for n, t in zip(sch.names, sch.types)
-                if n in keys + acols
-            ]
-            return rd.from_arrow(pa.schema(fields).empty_table())
+    def empty() -> pa.Table:
+        sch = arrow_schema(ds)
+        if sch.names:
+            return pa.schema([f for f in sch if f.name in keys + acols]).empty_table()
         if empty_schema is not None:
-            want = keys + acols
-            return rd.from_arrow(
-                pa.schema([empty_schema.field(k) for k in want]).empty_table()
-            )
-        return rd.from_arrow(
-            pa.schema([pa.field(k, pa.int64()) for k in keys + acols]).empty_table()
-        )
-    return rd.from_items([{"dir": d} for d in part_dirs]).map_batches(
-        block, batch_size=1, batch_format="pyarrow", zero_copy_batch=True
-    )
+            return pa.schema([empty_schema.field(k) for k in keys + acols]).empty_table()
+        return pa.schema([pa.field(k, pa.int64()) for k in keys + acols]).empty_table()
+
+    return per_part(block, s, empty=empty)
 
 
 def random_sample(ds: Dataset, frac: float, *, on: str, seed: int = 0) -> Dataset:
@@ -526,12 +356,6 @@ def global_rank(
     values — size ``sample_frac`` down as the corpus grows. An
     all-equal ``by`` column degrades to one bucket (the local sort
     still bounds it per task memory, documented skew)."""
-    import glob as _glob
-    import tempfile
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     if not 1 <= num_buckets <= 32:
         # grouped_quantiles names columns q{round(q·100)} — beyond 32
         # cut points the names collide; compose with more tasks per
@@ -565,55 +389,15 @@ def global_rank(
                 .to_numpy().astype(np.float64)
             )
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def part(batch: pa.Table):
         # same lossy-monotone cast as the boundary sample (see vals)
         v = batch[by].to_numpy(zero_copy_only=False).astype(np.float64)
-        b = np.searchsorted(bounds, v, side="left").astype(np.int64)
+        b = np.searchsorted(bounds, v, side="left")
         if descending:
-            b = np.int64(len(bounds)) - b  # reverse the range order
-        return batch.append_column("_rb", pa.array(b))
+            b = len(bounds) - b  # reverse the range order
+        return batch, b
 
-    ensure_hash_shuffle(ds)
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_rank_", dir="/tmp"))
-    ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["_rb"]
-    )
-    dirs = sorted(
-        _glob.glob(os.path.join(spill, "_rb=*")),
-        key=lambda d: int(d.rsplit("=", 1)[1]),
-    )
-    if not dirs:
-        sch = ds.schema()
-        fields = (
-            [pa.field(n, t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-             for n, t in zip(sch.names, sch.types)]
-            if sch is not None and sch.names
-            else []
-        )
-        return rd.from_arrow(
-            pa.schema(list(fields) + [pa.field(pos_col, pa.int64())]).empty_table()
-        )
-
-    def count(batch: pa.Table) -> pa.Table:
-        d = batch["dir"][0].as_py()
-        n = pq.read_table(d, columns=[]).num_rows
-        return pa.table({"i": batch["i"], "n": pa.array([n], type=pa.int64())})
-
-    counts = (
-        rd.from_items([{"dir": d, "i": i} for i, d in enumerate(dirs)])
-        .map_batches(count, batch_size=1, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("i")["n"]
-        .to_numpy()
-    )
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def emit(batch: pa.Table) -> pa.Table:
-        d = batch["dir"][0].as_py()
-        off = int(batch["off"][0].as_py())
-        t = pq.read_table(d)
-        if "_rb" in t.column_names:
-            t = t.drop_columns(["_rb"])
+    def order(t: pa.Table) -> np.ndarray:
         # the LOCAL sort decides the exact order — integer keys must not
         # round through float64 (two int64 simhashes < 1 ulp apart would
         # falsely tie and fall to the tiebreak); ~v is the overflow-free
@@ -625,16 +409,9 @@ def global_rank(
         else:
             v = col.cast(pa.float64()).to_numpy()
             key = -v if descending else v
-        tb = t[tiebreak].to_numpy()
-        order = np.lexsort((tb, key))
-        t = t.take(pa.array(order))
-        return t.append_column(
-            pos_col, pa.array(off + np.arange(t.num_rows, dtype=np.int64))
-        )
+        return np.lexsort((t[tiebreak].to_numpy(), key))
 
-    return rd.from_items(
-        [{"dir": d, "off": int(offsets[i])} for i, d in enumerate(dirs)]
-    ).map_batches(emit, batch_size=1, batch_format="pyarrow")
+    return _numbered_ranges(ds, part, len(bounds) + 1, order, pos_col)
 
 
 def deterministic_shuffle(
@@ -661,12 +438,6 @@ def deterministic_shuffle(
     then exactly one task per bucket sorts its range locally and adds
     its offset. Uniform hashes balance buckets; size num_buckets so a
     bucket fits a task (100 TB / 2^b)."""
-    import glob as _glob
-    import tempfile
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     from graphx_ray.ids import hash_text64, mix64
 
     if num_buckets < 1:
@@ -682,65 +453,40 @@ def deterministic_shuffle(
             kv = hash_text64(col.to_pandas())
         return mix64(kv ^ seed_mix)
 
-    def tag(batch: pa.Table) -> pa.Table:
-        h = _hashes(batch)
-        return batch.append_column(
-            "_sb", pa.array((h >> np.uint64(64 - bits)).astype(np.int64))
-        )
+    def part(batch: pa.Table):
+        return batch, _hashes(batch) >> np.uint64(64 - bits)
 
-    ensure_hash_shuffle(ds)
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_shuf_", dir="/tmp"))
-    ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        spill, partition_cols=["_sb"]
-    )
-    dirs = sorted(
-        _glob.glob(os.path.join(spill, "_sb=*")),
-        key=lambda d: int(d.rsplit("=", 1)[1]),
-    )
-    if not dirs:
-        sch = ds.schema()
-        fields = (
-            [pa.field(n, t if isinstance(t, pa.DataType) else pa.from_numpy_dtype(t))
-             for n, t in zip(sch.names, sch.types)]
-            if sch is not None and sch.names
-            else []
-        )
-        return rd.from_arrow(
-            pa.schema(list(fields) + [pa.field(pos_col, pa.int64())]).empty_table()
-        )
-
-    def count(batch: pa.Table) -> pa.Table:
-        d = batch["dir"][0].as_py()
-        n = pq.read_table(d, columns=[]).num_rows
-        return pa.table({"i": batch["i"], "n": pa.array([n], type=pa.int64())})
-
-    counts = (
-        rd.from_items([{"dir": d, "i": i} for i, d in enumerate(dirs)])
-        .map_batches(count, batch_size=1, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("i")["n"]
-        .to_numpy()
-    )
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-
-    def emit(batch: pa.Table) -> pa.Table:
-        d = batch["dir"][0].as_py()
-        off = int(batch["off"][0].as_py())
-        t = pq.read_table(d)
-        if "_sb" in t.column_names:  # hive partition column re-parsed on read
-            t = t.drop_columns(["_sb"])
-        h = _hashes(t)
+    def order(t: pa.Table) -> np.ndarray:
         key = t[on]
         kv = key.to_numpy() if pa.types.is_integer(key.type) else key.to_pandas()
-        order = np.lexsort((kv, h))
-        t = t.take(pa.array(order))
+        return np.lexsort((kv, _hashes(t)))
+
+    return _numbered_ranges(ds, part, 1 << bits, order, pos_col)
+
+
+def _numbered_ranges(ds: Dataset, part, num_parts: int, order, pos_col: str) -> Dataset:
+    """The count-then-emit tail of ``global_rank`` and
+    ``deterministic_shuffle``: spill ``ds`` into parts that are ordered
+    ranges, prefix-sum the parts' row counts (read from the parquet
+    footers on the driver: one int per part), then one task per part
+    sorts it by ``order`` and numbers its rows from the part's offset. A
+    task finds its part id by running ``part`` on its first row — a pure
+    per-row function."""
+    s = spill(ds, part, num_parts)
+    counts = [s.nrows(p) for p in s.parts]
+    offsets = dict(zip(s.parts, np.cumsum([0] + counts[:-1]).tolist()))
+
+    def emit(t: pa.Table) -> pa.Table:
+        off = offsets[int(part(t.slice(0, 1))[1][0])]
+        t = t.take(pa.array(order(t)))
         return t.append_column(
             pos_col, pa.array(off + np.arange(t.num_rows, dtype=np.int64))
         )
 
-    return rd.from_items(
-        [{"dir": d, "off": int(offsets[i])} for i, d in enumerate(dirs)]
-    ).map_batches(emit, batch_size=1, batch_format="pyarrow")
+    def empty() -> pa.Table:
+        return arrow_schema(ds).append(pa.field(pos_col, pa.int64())).empty_table()
+
+    return per_part(emit, s, empty=empty)
 
 
 def grouped_quantiles(
@@ -766,12 +512,16 @@ def grouped_quantiles(
         return f"q{round(q * 100):02d}"
 
     def block(tbl: pa.Table) -> pa.Table:
-        d = tbl.to_pandas().sort_values(keys + [value_col], kind="mergesort")
-        n = len(d)
+        n = tbl.num_rows
         if n == 0:
-            fields = [tbl.schema.field(k) for k in keys] + [pa.field("n_rows", pa.int64())]
+            # a Dataset Ray cannot type (an empty map output) arrives as a
+            # table without columns: its keys default to int64, as in
+            # grouped_reduce
+            fields = [tbl.schema.field(k) if k in tbl.column_names else pa.field(k, pa.int64())
+                      for k in keys] + [pa.field("n_rows", pa.int64())]
             fields += [pa.field(qname(q), pa.float64()) for q in qs]
             return pa.schema(fields).empty_table()
+        d = tbl.to_pandas().sort_values(keys + [value_col], kind="mergesort")
         v = d[value_col].to_numpy(dtype=np.float64)
         kcols = [d[k].to_numpy() for k in keys]
         new = np.zeros(n, bool)
@@ -1157,7 +907,7 @@ def zone_edges(
     dup = starts.map_batches(
         _border_duplicate(zone_width_s * 1_000_000), batch_format="pyarrow", zero_copy_batch=True
     )
-    part_dirs = hash_spill(dup, ["gzone"], num_partitions)
+    parts = hash_spill(dup, ["gzone"], num_partitions)
 
     def emit(u, v) -> pa.Table:
         return _edges_table(
@@ -1166,16 +916,16 @@ def zone_edges(
         )
 
     return _skew_sliced_pairs(
-        part_dirs, lambda tbl: _zone_sorted(tbl, delta_us), emit,
+        parts, lambda tbl: _zone_sorted(tbl, delta_us), emit,
         max_pairs_per_task=max_pairs_per_task, empty_tbl=_EDGE_EMPTY,
     )
 
 
-def _skew_sliced_pairs(part_dirs, sorted_fn, emit_fn, *,
+def _skew_sliced_pairs(parts: Spill, sorted_fn, emit_fn, *,
                        max_pairs_per_task: int, empty_tbl: pa.Table) -> Dataset:
     """Two-phase skew-sliced window-pair expansion over spilled partitions.
 
-    Phase A (one cheap task per partition directory): sort + count emitted
+    Phase A (one cheap task per part directory): sort + count emitted
     pairs per row WITHOUT materializing any pair, cut the row range into
     slices of ≤ ``max_pairs_per_task`` pairs. Phase B (one task per
     slice): re-read the partition (small), recompute the counting pass
@@ -1187,7 +937,7 @@ def _skew_sliced_pairs(part_dirs, sorted_fn, emit_fn, *,
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    if not part_dirs:
+    if not parts.parts:
         return rd.from_arrow(empty_tbl)
 
     def slices(batch: pa.Table) -> pa.Table:
@@ -1210,7 +960,7 @@ def _skew_sliced_pairs(part_dirs, sorted_fn, emit_fn, *,
         })
 
     desc = (
-        rd.from_items([{"dir": d} for d in part_dirs])
+        rd.from_items([{"dir": parts.path(p)} for p in parts.parts])
         .map_batches(slices, batch_size=1, batch_format="pyarrow")
         .take_all()
     )
@@ -1284,13 +1034,13 @@ def proximity_pairs(
         )
 
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
-    part_dirs = hash_spill(
+    parts = hash_spill(
         ds.map_batches(dup, batch_format="pyarrow", zero_copy_batch=True),
         group_cols + ["gzone"],
         num_partitions,
     )
     raw = _skew_sliced_pairs(
-        part_dirs, sorted_fn,
+        parts, sorted_fn,
         lambda u, v: pa.table({"a": pa.array(u), "b": pa.array(v)}),
         max_pairs_per_task=4_000_000, empty_tbl=empty,
     )

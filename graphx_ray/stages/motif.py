@@ -25,7 +25,6 @@ row per distinct binding.
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -35,7 +34,8 @@ import pyarrow as pa
 from ray.data import Dataset
 
 from graphx_ray.context import ensure_hash_shuffle, register_spill
-from graphx_ray.stages.derive import _gpart_of, grouped_reduce
+from graphx_ray.stages.derive import grouped_reduce
+from graphx_ray.state.spill import hash_parts, per_part, spill
 
 _TERM = re.compile(r"^(!?)\((\w+)\)-\[\w*\]->\((\w+)\)$")
 
@@ -56,12 +56,6 @@ def bucket_join(
     columns; ``outer`` (full outer) additionally keeps unmatched RIGHT
     rows — their keys coalesce into the left key columns and their left
     attributes are null."""
-    import glob as _glob
-    import tempfile
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
     lkeys = [on] if isinstance(on, str) else list(on)
     rkeys = (
         [right_on] if isinstance(right_on, str) else list(right_on)
@@ -81,23 +75,9 @@ def bucket_join(
                 f"outer join: right non-key column(s) {sorted(shadow)} "
                 "shadow the left key names; rename them first"
             )
-    ensure_hash_shuffle(left)
     P = num_partitions
-
-    def spill(ds: Dataset, keys: list[str], prefix: str) -> str:
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_gpart", pa.array(_gpart_of(batch, keys, P), type=pa.int32())
-            )
-
-        d = register_spill(tempfile.mkdtemp(prefix=prefix, dir="/tmp"))
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-            d, partition_cols=["_gpart"]
-        )
-        return d
-
-    ldir = spill(left, lkeys, "graphx_bj_l_")
-    rdir = spill(right, rkeys, "graphx_bj_r_")
+    lspill = spill(left, lambda b: (b, hash_parts(b, lkeys, P)), P)
+    rspill = spill(right, lambda b: (b, hash_parts(b, rkeys, P)), P)
 
     lsch = left.schema()
     lcols = list(lsch.names)
@@ -112,25 +92,20 @@ def bucket_join(
                     pa.field(n if n not in lcols else n + "_r", t)
                 )
 
-    def join_bucket(batch: pa.Table) -> pa.Table:
-        p = int(batch["p"][0].as_py())
-        lpath = os.path.join(ldir, f"_gpart={p}")
-        rpath = os.path.join(rdir, f"_gpart={p}")
-        have_l = os.path.isdir(lpath)
-        have_r = os.path.isdir(rpath)
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        have_l = lt.num_rows > 0
+        have_r = rt.num_rows > 0
         if how == "outer":
-            if not have_l and not have_r:
-                return out_schema.empty_table()
             import pandas as pd
 
             ldf = (
-                pq.read_table(lpath, columns=lcols).to_pandas()
+                lt.select(lcols).to_pandas()
                 if have_l
                 else pd.DataFrame({n: pd.Series(dtype=object) for n in lcols})
             )
             rnames = [c for c in rsch.names]
             rdf = (
-                pq.read_table(rpath, columns=rnames).to_pandas()
+                rt.select(rnames).to_pandas()
                 if have_r
                 else pd.DataFrame({n: pd.Series(dtype=object) for n in rnames})
             )
@@ -145,7 +120,7 @@ def bucket_join(
             return pa.Table.from_arrays(arrs, schema=out_schema)
         if not have_l or (how == "inner" and not have_r) or (how == "semi" and not have_r):
             return out_schema.empty_table()
-        ldf = pq.read_table(lpath, columns=lcols).to_pandas()
+        ldf = lt.select(lcols).to_pandas()
         if how in ("anti", "left") and not have_r:
             if how == "left":  # all-null right columns, schema-typed
                 arrs = [pa.Array.from_pandas(ldf[n], type=out_schema.field(n).type)
@@ -154,7 +129,7 @@ def bucket_join(
                 return pa.Table.from_arrays(arrs, schema=out_schema)
             return pa.Table.from_pandas(ldf, schema=out_schema, preserve_index=False)
         rcols = rkeys if how in ("semi", "anti") else [c for c in rsch.names]
-        rdf = pq.read_table(rpath, columns=rcols).to_pandas()
+        rdf = rt.select(rcols).to_pandas()
         if how in ("semi", "anti"):
             rdf = rdf.drop_duplicates(subset=rkeys)
             m = ldf.merge(
@@ -174,9 +149,7 @@ def bucket_join(
                 for name in out_schema.names]
         return pa.Table.from_arrays(arrs, schema=out_schema)
 
-    return rd.from_items([{"p": p} for p in range(P)]).map_batches(
-        join_bucket, batch_size=1, batch_format="pyarrow"
-    )
+    return per_part(join_bucket, lspill, rspill, empty=out_schema.empty_table())
 
 
 def _parse_pattern(pattern: str) -> list[tuple[bool, str, str]]:

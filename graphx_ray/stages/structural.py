@@ -1021,7 +1021,7 @@ def trussness(
     sch = edges.schema()
     can = canonical_edges(edges) if "src" in (sch.names or []) else edges
 
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_trussness_", dir="/tmp"))
+    wd = register_spill(tempfile.mkdtemp(prefix="graphx_trussness_", dir="/tmp"))
     tri = canonical_triangles(can, num_partitions=num_partitions)
 
     # explode each triangle into its 3 (edge, sibling1, sibling2) rows —
@@ -1045,23 +1045,17 @@ def trussness(
              "s2u": pa.array(s2u, type=pa.int64()), "s2v": pa.array(s2v, type=pa.int64())}
         )
 
-    tdir = os.path.join(spill, "tedge")
     exploded = tri.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
     if engine:
-        from graphx_ray.stages.derive import _gpart_of
+        from graphx_ray.state.spill import hash_parts, spill
 
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_gpart",
-                pa.array(_gpart_of(batch, ["eu", "ev"], num_partitions),
-                         type=pa.int32()),
-            )
-
-        exploded.map_batches(
-            tag, batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(tdir, partition_cols=["_gpart"])
-        have_tri = bool(_glob.glob(os.path.join(tdir, "_gpart=*")))
+        tedge = spill(
+            exploded, lambda b: (b, hash_parts(b, ["eu", "ev"], num_partitions)),
+            num_partitions,
+        )
+        have_tri = bool(tedge.parts)
     else:
+        tdir = os.path.join(wd, "tedge")
         exploded.write_parquet(tdir)
         have_tri = bool(_glob.glob(os.path.join(tdir, "*.parquet")))
 
@@ -1099,7 +1093,7 @@ def trussness(
         from graphx_ray.state.truss import truss_fixpoint
 
         t, converged = truss_fixpoint(
-            tdir, num_partitions=num_partitions, max_rounds=max_rounds,
+            tedge, num_partitions=num_partitions, max_rounds=max_rounds,
             checkpoint_dir=checkpoint_dir, resume=resume,
         )
         if not converged:
@@ -1129,7 +1123,7 @@ def trussness(
         tedge.map_batches(ones, batch_format="pyarrow", zero_copy_batch=True),
         ["eu", "ev"], sum_col="t", num_partitions=num_partitions,
     )
-    tdir0 = os.path.join(spill, "t0")
+    tdir0 = os.path.join(wd, "t0")
     t.write_parquet(tdir0)
     t = rd.read_parquet(tdir0)
     total = t.sum("t")
@@ -1185,7 +1179,7 @@ def trussness(
             empty_schema=hschema,
         )
         # no '=' in the dir name — read_parquet would hive-parse it
-        rdir = os.path.join(spill, f"r{rnd}")
+        rdir = os.path.join(wd, f"r{rnd}")
         nt.write_parquet(rdir)
         nt = rd.read_parquet(rdir)
         ntotal = nt.sum("t")

@@ -23,8 +23,6 @@ Scale design
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -32,8 +30,9 @@ import pyarrow.compute as pc
 
 from ray.data import Dataset
 
-from graphx_ray.context import ensure_hash_shuffle, register_spill
-from graphx_ray.stages.derive import _gpart_of, grouped_reduce
+from graphx_ray.context import ensure_hash_shuffle
+from graphx_ray.stages.derive import grouped_reduce
+from graphx_ray.state.spill import hash_parts, per_part, spill
 
 
 def _codes(arr: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -142,21 +141,6 @@ def windowed_aggregate(
 # --------------------------------------------------------------- as-of join
 
 
-def _spill_by(ds: Dataset, keys: list[str], num_partitions: int, prefix: str) -> str:
-    def tag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_gpart", pa.array(_gpart_of(batch, keys, num_partitions), type=pa.int32())
-        )
-
-    import tempfile
-
-    d = register_spill(tempfile.mkdtemp(prefix=prefix, dir="/tmp"))
-    ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        d, partition_cols=["_gpart"]
-    )
-    return d
-
-
 def asof_join(
     left: Dataset,
     right: Dataset,
@@ -178,15 +162,10 @@ def asof_join(
     = all left columns + ``right_cols`` (+ ``_r`` suffix on collisions),
     null where no match. One vectorized merged-sort forward-fill per key
     bucket — the classic sort-merge as-of, co-partitioned through storage."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    ensure_hash_shuffle(left)
     P = num_partitions
-    ldir = _spill_by(left, [left_key], P, "graphx_asof_l_")
-    rdir = _spill_by(right, [right_key], P, "graphx_asof_r_")
+    rread = list(dict.fromkeys([right_key, right_ts] + right_cols))
+    lspill = spill(left, lambda b: (b, hash_parts(b, [left_key], P)), P)
+    rspill = spill(right, lambda b: (b.select(rread), hash_parts(b, [right_key], P)), P)
 
     lsch = left.schema()
     lcols = list(lsch.names)
@@ -197,25 +176,14 @@ def asof_join(
         [pa.field(n, t) for n, t in zip(lsch.names, lsch.types)]
         + [pa.field(out_names[rc], rtypes[rc]) for rc in right_cols]
     )
-    rread = list(dict.fromkeys([right_key, right_ts] + right_cols))
     tb = right_cols[0]
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        p = int(batch["p"][0].as_py())
-        lpath = os.path.join(ldir, f"_gpart={p}")
-        if not os.path.isdir(lpath):
+    def bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        nl, nr = lt.num_rows, rt.num_rows
+        if nl == 0:
             return out_schema.empty_table()
-        lt = pq.read_table(lpath, columns=lcols)
-        nl = lt.num_rows
-        rpath = os.path.join(rdir, f"_gpart={p}")
-        rt = (
-            pq.read_table(rpath, columns=rread)
-            if os.path.isdir(rpath)
-            else pa.schema([pa.field(c, rtypes[c]) for c in rread]).empty_table()
-        )
-        nr = rt.num_rows
         data = {n: lt[n] for n in lcols}
-        if nr == 0 or nl == 0:
+        if nr == 0:
             for rc in right_cols:
                 data[out_names[rc]] = pa.nulls(nl, type=rtypes[rc])
             return pa.table(data, schema=out_schema)
@@ -249,9 +217,7 @@ def asof_join(
             data[out_names[rc]] = col.take(take)
         return pa.table(data, schema=out_schema)
 
-    return rd.from_items([{"p": p} for p in range(P)]).map_batches(
-        bucket, batch_size=1, batch_format="pyarrow"
-    )
+    return per_part(bucket, lspill, rspill, empty=out_schema.empty_table())
 
 
 # --------------------------------------------------------------- range join
@@ -280,21 +246,17 @@ def range_join(
     of intervals with ``start ≤ ts`` via one merged sort, expands with
     repeat/arange, and filters ``end > ts`` — all vectorized. Output =
     ``point_cols`` + ``interval_cols`` (``_i`` suffix on collisions)."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    ensure_hash_shuffle(points)
     P = num_partitions
+    pread = list(dict.fromkeys([point_key, point_ts, "_gb"] + point_cols))
+    iread = list(dict.fromkeys([interval_key, start_ts, end_ts, "_gb"] + interval_cols))
 
-    def tag_points(batch: pa.Table) -> pa.Table:
+    def part_points(batch: pa.Table):
         b = batch.append_column(
             "_gb", pa.array(batch[point_ts].to_numpy() // bucket_us, type=pa.int64())
         )
-        return b.append_column(
-            "_gpart", pa.array(_gpart_of(b, ["_gb", point_key], P), type=pa.int32())
-        )
+        return b.select(pread), hash_parts(b, ["_gb", point_key], P)
 
-    def tag_intervals(batch: pa.Table) -> pa.Table:
+    def part_intervals(batch: pa.Table):
         s = batch[start_ts].to_numpy()
         e = batch[end_ts].to_numpy()
         live = e > s
@@ -307,20 +269,10 @@ def range_join(
         out = batch.take(pa.array(rep, type=pa.int64())).append_column(
             "_gb", pa.array(gb, type=pa.int64())
         )
-        return out.append_column(
-            "_gpart", pa.array(_gpart_of(out, ["_gb", interval_key], P), type=pa.int32())
-        )
+        return out.select(iread), hash_parts(out, ["_gb", interval_key], P)
 
-    import tempfile
-
-    pdir = register_spill(tempfile.mkdtemp(prefix="graphx_rj_p_", dir="/tmp"))
-    points.map_batches(tag_points, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        pdir, partition_cols=["_gpart"]
-    )
-    idir = register_spill(tempfile.mkdtemp(prefix="graphx_rj_i_", dir="/tmp"))
-    intervals.map_batches(
-        tag_intervals, batch_format="pyarrow", zero_copy_batch=True
-    ).write_parquet(idir, partition_cols=["_gpart"])
+    pspill = spill(points, part_points, P)
+    ispill = spill(intervals, part_intervals, P)
 
     psch = points.schema()
     ptypes = {n: t for n, t in zip(psch.names, psch.types)}
@@ -331,17 +283,7 @@ def range_join(
         [pa.field(c, ptypes[c]) for c in point_cols]
         + [pa.field(out_names[ic], itypes[ic]) for ic in interval_cols]
     )
-    pread = list(dict.fromkeys([point_key, point_ts, "_gb"] + point_cols))
-    iread = list(dict.fromkeys([interval_key, start_ts, end_ts, "_gb"] + interval_cols))
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        p = int(batch["p"][0].as_py())
-        ppath = os.path.join(pdir, f"_gpart={p}")
-        ipath = os.path.join(idir, f"_gpart={p}")
-        if not (os.path.isdir(ppath) and os.path.isdir(ipath)):
-            return out_schema.empty_table()
-        pt = pq.read_table(ppath, columns=pread)
-        it = pq.read_table(ipath, columns=iread)
+    def bucket(pt: pa.Table, it: pa.Table) -> pa.Table:
         np_, ni = pt.num_rows, it.num_rows
         if np_ == 0 or ni == 0:
             return out_schema.empty_table()
@@ -405,9 +347,7 @@ def range_join(
             data[out_names[ic]] = it[ic].combine_chunks().take(pa.array(gi, type=pa.int64()))
         return pa.table(data, schema=out_schema)
 
-    return rd.from_items([{"p": p} for p in range(P)]).map_batches(
-        bucket, batch_size=1, batch_format="pyarrow"
-    )
+    return per_part(bucket, pspill, ispill, empty=out_schema.empty_table())
 
 
 def session_window(

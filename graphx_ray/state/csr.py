@@ -4,11 +4,10 @@ CSR adjacency held in zero-copy Arrow buffers inside a stateful actor pool").
 
 Design (idiomatic Ray, NOT a Spark port):
 
-- ``stage_graph`` is a Ray Data pipeline: a Graph's DIRECTED edges get
-  ``src_part = splitmix64(src) % P`` and are written as hash-partitioned
-  Parquet (``partition_cols``), vertices likewise — resumable,
-  partition-pruned storage that one host actor each loads. It runs once
-  per Graph: no other view is staged.
+- ``stage_graph`` is a Ray Data pipeline: a Graph's DIRECTED edges are
+  spilled by part ``splitmix64(src) % P`` (``state/spill.py``), vertices
+  likewise — resumable, partition-pruned storage that one host actor
+  each loads. It runs once per Graph: no other view is staged.
 - ``ShardHost`` (one actor per partition, ``num_cpus=0``) holds every
   view of its partition as a ``CsrShard``, by name: ``directed`` from
   the staging, and ``reversed``, ``undirected_weighted`` and
@@ -159,7 +158,7 @@ def stage_graph(
     *,
     salt_threshold: int | None = None,
 ) -> dict:
-    """Write hash-partitioned edge + vertex Parquet under ``workdir``.
+    """Spill hash-partitioned edges and vertices under ``workdir``.
 
     edges: (src, dst, w [, ...]); vertices: (vid [, ...]) or None to derive
     the universe from edge endpoints. Returns a manifest dict. Only a
@@ -167,6 +166,7 @@ def stage_graph(
     view from them.
     """
     from graphx_ray.context import ensure_hash_shuffle
+    from graphx_ray.state.spill import spill
 
     ensure_hash_shuffle(edges)
     P = num_parts
@@ -175,7 +175,7 @@ def stage_graph(
     if salt_threshold is not None:
         hubs = _find_hubs(edges, salt_threshold)
 
-    def tag(batch: pa.Table) -> pa.Table:
+    def edge_part(batch: pa.Table):
         src = batch["src"].to_numpy()
         dst = batch["dst"].to_numpy()
         w = batch["w"].to_numpy() if "w" in batch.column_names else np.ones(len(src), np.int64)
@@ -189,43 +189,18 @@ def stage_graph(
                 "src": pa.array(src, type=pa.int64()),
                 "dst": pa.array(dst, type=pa.int64()),
                 "w": pa.array(w, type=pa.int64()),
-                "src_part": pa.array(part, type=pa.int32()),
             }
-        )
+        ), part
 
-    # A pre-existing staging dir would silently double edges / mix stale
-    # part files into the read-back — clear both dirs up front.
-    import shutil
-
-    edge_dir = os.path.join(workdir, "edges")
-    vert_dir = os.path.join(workdir, "verts")
-    shutil.rmtree(edge_dir, ignore_errors=True)
-    shutil.rmtree(vert_dir, ignore_errors=True)
-    edges.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        edge_dir, partition_cols=["src_part"]
-    )
-
-    if vertices is None:
-        vert_ds = _vertex_universe(edges)
-    else:
-        vert_ds = vertices.select_columns(["vid"])
-
-    def vtag(batch: pa.Table) -> pa.Table:
+    def vert_part(batch: pa.Table):
         vid = batch["vid"].to_numpy()
-        return pa.table(
-            {
-                "vid": pa.array(vid, type=pa.int64()),
-                "part": pa.array(part_of(vid, P), type=pa.int32()),
-            }
-        )
+        return pa.table({"vid": pa.array(vid, type=pa.int64())}), part_of(vid, P)
 
-    vert_ds.map_batches(vtag, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        vert_dir, partition_cols=["part"]
-    )
+    vert_ds = _vertex_universe(edges) if vertices is None else vertices.select_columns(["vid"])
     return {
         "num_parts": P,
-        "edge_dir": edge_dir,
-        "vert_dir": vert_dir,
+        "edges": spill(edges, edge_part, P, out=os.path.join(workdir, "edges")),
+        "verts": spill(vert_ds, vert_part, P, out=os.path.join(workdir, "verts")),
         "hubs": np.sort(hubs).tolist() if hubs is not None else [],  # sorted: searchsorted-able
     }
 
@@ -234,7 +209,7 @@ def _vertex_universe(edges: Dataset) -> Dataset:
     """Endpoint vids, block-locally uniqued ONLY — no global dedup shuffle.
 
     Equal vids hash to the same vertex partition, so cross-block
-    duplicates land in one ``part=`` directory and the shard reader's
+    duplicates land in one part directory and the shard reader's
     ``np.unique`` finishes the dedup for free. The Ray hash-aggregate this
     replaces was ~10 s of fixed aggregator-actor cost on small graphs —
     the dominant term of every small-graph staging."""
@@ -2064,13 +2039,14 @@ class CsrShard:
             raise ValueError("vertex values missing for some owned vids")
         self.val = vals[idx].copy() if len(self.owned) else vals[:0].copy()
 
-    def load_values_partition(self, path: str, value_col: str) -> None:
+    def load_values_partition(self, path: str | None, value_col: str) -> None:
         """Adopt user vertex values from THIS part's hash-partitioned
-        parquet slice — the scale path for aggregate_messages: the full
-        vertex table never touches the driver."""
-        if not os.path.isdir(path):
+        parquet slice (None: the part got no rows) — the scale path for
+        aggregate_messages: the full vertex table never touches the
+        driver."""
+        if path is None:
             if self.n:
-                raise ValueError(f"vertex values partition missing: {path}")
+                raise ValueError(f"vertex values partition {self.part} missing")
             self.val = np.empty(0, np.float64)
             return
         t = pq.read_table(path, columns=["vid", value_col])
@@ -2215,17 +2191,17 @@ def load_directed(part: int, num_parts: int, manifest: dict,
                   route: str = "packed") -> CsrShard:
     """Partition ``part`` of ``stage_graph``'s directed staging as a
     shard."""
-    vdir = os.path.join(manifest["vert_dir"], f"part={part}")
+    vdir = manifest["verts"].path(part)
     # unique (not just sort): staging writes block-local vid partials
     # without a global dedup shuffle — equal vids co-partition, so the
     # partition-local unique completes the dedup deterministically
     owned = (
         np.unique(pq.read_table(vdir, columns=["vid"])["vid"].to_numpy())
-        if os.path.isdir(vdir)
+        if vdir is not None
         else np.empty(0, np.int64)
     )
-    edir = os.path.join(manifest["edge_dir"], f"src_part={part}")
-    if os.path.isdir(edir):
+    edir = manifest["edges"].path(part)
+    if edir is not None:
         et = pq.read_table(edir, columns=["src", "dst", "w"])
         src, dst, w = (et[c].to_numpy() for c in ("src", "dst", "w"))
     else:

@@ -23,7 +23,9 @@ src-hash + salted-hub contract — CSR gather/scatter REQUIRES a vertex's
 out-edges co-resident with its owned slice. These strategies serve the
 edge-local workloads (triangle buckets, motif joins, mirrored-vertex
 replication planning) and expose the GraphX surface; ``Graph.partition_by``
-wires them onto an edge Dataset as a ``part`` column.
+wires them onto an edge Dataset as a ``part`` column. Writing a cut to
+storage goes through ``state/spill.py``, the one spill layout: pass
+``assign_partitions`` as the part function of ``spill.spill``.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def partition_by(
     edges: Dataset, strategy: str, num_parts: int, *, col: str = "part"
 ) -> Dataset:
     """GraphX ``Graph.partitionBy``: tag every edge with its partition id
-    under ``strategy`` (a narrow per-batch transform — pair with
-    ``write_parquet(partition_cols=[col])`` to realize the edge cut)."""
+    under ``strategy`` (a narrow per-batch transform; ``spill.spill``
+    realizes the edge cut on storage)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown PartitionStrategy {strategy!r}; one of {STRATEGIES}")
 

@@ -12,8 +12,8 @@ pass plus a packed ghost value exchange — the driver routes ONLY
 ObjectRefs and changed counts, never an edge vector.
 
 Staging:
-- spill (eu, ev, s1u, s1v, s2u, s2v) rows hive-partitioned by
-  gpart(eu, ev) (the repo's full-tuple splitmix hash);
+- spill (eu, ev, s1u, s1v, s2u, s2v) rows (``state/spill.py``) by
+  ``pair_gpart(eu, ev)`` (the repo's full-tuple splitmix hash);
 - each shard sorts its rows by (eu, ev) (owned-edge runs), dedups the
   DISTINCT sibling keys it needs per owner shard, and registers them
   with the owner ONCE (`register_exports`) — the owner stores the local
@@ -33,6 +33,7 @@ Per round (`truss_fixpoint` driver loop):
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
@@ -42,12 +43,15 @@ import ray
 
 from graphx_ray.ids import mix64
 
+if TYPE_CHECKING:
+    from graphx_ray.state.spill import Spill
+
 _INIT = np.uint64(0x9E3779B97F4A7C15)
 
 
 def pair_gpart(u: np.ndarray, v: np.ndarray, P: int) -> np.ndarray:
     """Owner shard of edge (u, v): the SAME full-tuple splitmix hash as
-    ``derive._gpart_of`` over integer key columns (bit-compatible, so the
+    ``spill.hash_parts`` over integer key columns (bit-compatible, so the
     staging spill and the actors agree)."""
     kv = mix64(np.full(len(u), _INIT, np.uint64) ^ u.astype(np.uint64))
     kv = mix64(kv ^ v.astype(np.uint64))
@@ -84,14 +88,14 @@ def _pair_lookup(ou: np.ndarray, ov: np.ndarray,
 
 class TrussShard:
     """One edge partition of the truss H-index fixpoint, loaded onto a
-    recycled shard host (``csr.ShardHost``) from the spill's
-    ``_gpart=<part>`` directory."""
+    recycled shard host (``csr.ShardHost``) from its part of the
+    incidence spill."""
 
-    def __init__(self, part: int, P: int, spill_dir: str):
+    def __init__(self, part: int, P: int, tedge: Spill):
         self.part = part
         self.P = P
-        part_dir = os.path.join(spill_dir, f"_gpart={part}")
-        if not os.path.isdir(part_dir):
+        part_dir = tedge.path(part)
+        if part_dir is None:
             t = pa.schema(
                 [(c, pa.int64()) for c in
                  ("eu", "ev", "s1u", "s1v", "s2u", "s2v")]
@@ -273,12 +277,12 @@ class TrussShard:
         self.t = t["t"].to_numpy().copy()
 
 
-def truss_fixpoint(tedge_spill: str, *, num_partitions: int,
+def truss_fixpoint(tedge: Spill, *, num_partitions: int,
                    max_rounds: int = 200,
                    checkpoint_dir: str | None = None,
                    resume: bool = False):
-    """Stage the shard pool over a hive spill of (eu..s2v) rows
-    partitioned by ``_gpart`` and run the H-index loop. Returns
+    """Stage the shard pool over a spill of (eu..s2v) rows partitioned by
+    ``pair_gpart(eu, ev)`` and run the H-index loop. Returns
     (Dataset of (eu, ev, t), converged: bool). Driver state per round:
     P ObjectRefs + one int. ``checkpoint_dir`` dumps each round's
     per-part t vectors atomically with a manifest (the coreness
@@ -294,7 +298,7 @@ def truss_fixpoint(tedge_spill: str, *, num_partitions: int,
     from graphx_ray.state import checkpoint as ckpt
 
     P = num_partitions
-    hosts = _load_hosts(P, "truss", TrussShard, P, tedge_spill)
+    hosts = _load_hosts(P, "truss", TrussShard, P, tedge)
     actors = [_View(h, "truss") for h in hosts]
     try:
         requests = ray.get([a.ghost_requests.remote() for a in actors])

@@ -1,6 +1,6 @@
-"""Structural guards on the CSR engine: no dead shard methods, every
-exchange dispatched by the one superstep path, no Ray Data in shard
-processes, and sources that compile warning-free."""
+"""Structural guards on the engine: no dead shard methods, every
+exchange dispatched by the one superstep path, one storage spill layout,
+no Ray Data in shard processes, and sources that compile warning-free."""
 
 import ast
 import os
@@ -115,6 +115,22 @@ def test_exchanges_run_only_in_the_superstep():
                         target = target.func.value  # x.m.options(...).remote
                     if isinstance(target, ast.Attribute) and target.attr in exchange:
                         bad.append(f"{rel}:{node.lineno} {fn.name} calls {target.attr}")
+    assert bad == []
+
+
+def test_only_the_spill_module_writes_partitioned_parquet():
+    """Storage spills have one layout: no module under graphx_ray/ but
+    ``state/spill.py`` calls ``write_parquet`` with ``partition_cols``."""
+    pkg = os.path.join(ROOT, "graphx_ray")
+    bad = []
+    for path, src in _sources().items():
+        if not path.startswith(pkg + os.sep) or path == os.path.join(pkg, "state", "spill.py"):
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_parquet"
+                    and any(kw.arg == "partition_cols" for kw in node.keywords)):
+                bad.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
     assert bad == []
 
 

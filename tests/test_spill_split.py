@@ -8,12 +8,8 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from graphx_ray.stages.derive import (
-    _dir_bytes,
-    grouped_reduce,
-    hash_spill,
-    partitioned_map,
-)
+from graphx_ray.stages.derive import grouped_reduce, hash_spill, partitioned_map
+from graphx_ray.state import spill
 
 
 def _skewed_ds(n_hot=200_000, n_keys=200, seed=3):
@@ -32,20 +28,21 @@ def _skewed_ds(n_hot=200_000, n_keys=200, seed=3):
     ), pd.DataFrame({"k": key, "v": val})
 
 
-def test_hash_spill_splits_oversized_dirs():
+def test_hash_spill_splits_oversized_dirs(monkeypatch):
     ds, _ = _skewed_ds()
-    base = hash_spill(ds, ["k"], 2, target_bytes=1 << 40)  # splitter off
-    assert len(base) <= 2
-    max_unsplit = max(_dir_bytes(d) for d in base)
-    dirs = hash_spill(ds, ["k"], 2, target_bytes=65_536)
-    assert len(dirs) > 2, "splitter never fired"
+    base = hash_spill(ds, ["k"], 2)  # 2 GiB target: the splitter stays off
+    assert len(base.parts) <= 2
+    max_unsplit = max(base.nbytes(p) for p in base.parts)
+    monkeypatch.setattr(spill, "TARGET_BYTES", 65_536)
+    split = hash_spill(ds, ["k"], 2)
+    assert len(split.parts) > 2, "splitter never fired"
     # per-task bytes drop toward the target (a per-file parquet metadata
     # floor of a few KB remains at toy scale, so assert the RATIO)
-    assert max(_dir_bytes(d) for d in dirs) <= max_unsplit / 4
+    assert max(split.nbytes(p) for p in split.parts) <= max_unsplit / 4
 
 
 def test_grouped_reduce_correct_under_split(monkeypatch):
-    monkeypatch.setenv("GRAFT_SPILL_TARGET_BYTES", "65536")
+    monkeypatch.setattr(spill, "TARGET_BYTES", 65_536)
     ds, df = _skewed_ds()
     got = (
         grouped_reduce(ds, ["k"], sum_col="v", num_partitions=2)
@@ -58,7 +55,7 @@ def test_grouped_reduce_correct_under_split(monkeypatch):
 
 
 def test_partitioned_map_groups_stay_whole_under_split(monkeypatch):
-    monkeypatch.setenv("GRAFT_SPILL_TARGET_BYTES", "65536")
+    monkeypatch.setattr(spill, "TARGET_BYTES", 65_536)
     ds, df = _skewed_ds()
 
     def per_key_counts(tbl: pa.Table) -> pa.Table:
@@ -74,7 +71,7 @@ def test_partitioned_map_groups_stay_whole_under_split(monkeypatch):
 
 
 def test_single_hot_key_cannot_split_but_stays_correct(monkeypatch):
-    monkeypatch.setenv("GRAFT_SPILL_TARGET_BYTES", "65536")
+    monkeypatch.setattr(spill, "TARGET_BYTES", 65_536)
     n = 30_000
     ds = rd.from_arrow(
         pa.table({"k": pa.array(np.zeros(n, np.int64)),

@@ -1,7 +1,8 @@
-"""Stateless text and dedup stages run as Ray Data tasks. Each library
-stage must return exactly what its class returns when called in-process on
-the same table, two parameter sets in one session must not mix, and
-``curate`` must finish in a 1-CPU Ray session."""
+"""Stateless text, dedup and top-k scoring stages run as Ray Data tasks.
+Each library stage must return exactly what its class returns when called
+in-process on the same table, two parameter sets in one session must not
+mix, ``curate`` must finish in a 1-CPU Ray session and ``brute_force_topk``
+in a 2-CPU one."""
 
 import os
 import signal
@@ -29,7 +30,16 @@ from graphx_ray.functions.dedup import (
     simhash_signatures,
 )
 from graphx_ray.functions.pca import PcaProjector, pca_project
-from graphx_ray.functions.similarity import JlProjector, jl_project
+from graphx_ray.functions.similarity import (
+    JlProjector,
+    PqScorer,
+    QuantizedTopKScorer,
+    TopKScorer,
+    brute_force_topk,
+    jl_project,
+    pq_topk,
+    quantized_topk,
+)
 from graphx_ray.functions.text import LangId, QualityScorer, Redactor, lang_id, quality_scores, redact
 from graphx_ray.pipelines.curation import curate
 from graphx_ray.stages.derive import _distinct_keys_typed
@@ -207,6 +217,26 @@ print("ONE-CPU-OK")
 """
 
 
+def run_child(script: str, *args, what: str, timeout: int = 120) -> str:
+    """Run ``script`` in its own Python and Ray session; fail the test if it
+    has not finished after ``timeout`` seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child's Ray processes too
+        proc.communicate()
+        pytest.fail(f"{what} did not finish within {timeout} s")
+    assert proc.returncode == 0, err[-3000:]
+    return out
+
+
 def test_curate_completes_in_a_one_cpu_session(ray_session, tmp_path):
     """Half-CPU actor pools could not all start on one CPU, so ``curate``
     hung there; task stages need no reservation beyond the running task."""
@@ -215,20 +245,8 @@ def test_curate_completes_in_a_one_cpu_session(ray_session, tmp_path):
     tbl = corpus()
     for i in range(2):
         pq.write_table(tbl.slice(i * 150, 150), docs / f"p{i}.parquet")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", ONE_CPU_CURATE, str(docs), str(tmp_path / "out.parquet")],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # the child's Ray processes too
-        proc.communicate()
-        pytest.fail("curate did not finish within 120 s in a 1-CPU Ray session")
-    assert proc.returncode == 0, err[-3000:]
+    out = run_child(ONE_CPU_CURATE, docs, tmp_path / "out.parquet",
+                    what="curate in a 1-CPU Ray session")
     assert "ONE-CPU-OK" in out
 
     got = pd.read_parquet(tmp_path / "out.parquet").sort_values("doc_id").reset_index(drop=True)
@@ -265,3 +283,78 @@ def test_curate_best_scores_the_corpus_once(ray_session, tmp_path, monkeypatch):
     out = curate(as_ds(tbl), keep="best", num_partitions=4).to_pandas()
     assert len(out) > 0
     assert len(list(calls.iterdir())) == one_pass
+
+
+def topk_in_process(scorer, tbl: pa.Table, k: int) -> pa.Table:
+    """The exact top-k of ``scorer`` called on the whole table: (sim DESC,
+    nbr_id ASC) per query, k rows each, ranked."""
+    df = scorer(tbl).to_pandas().sort_values(
+        ["query_id", "sim", "nbr_id"], ascending=[True, False, True])
+    df = df.groupby("query_id").head(k).reset_index(drop=True)
+    df["simrank"] = df.groupby("query_id").cumcount().astype(np.int64)
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def queries(n: int = 6, d: int = 12, seed: int = 8) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((n, d))
+
+
+@pytest.mark.parametrize("stage", ["brute_force_topk", "pq_topk", "quantized_topk"])
+def test_topk_stages_equal_their_class_in_process(ray_session, stage):
+    tbl, q, k = vectors(), queries(), 5
+    qids = np.arange(100, 100 + len(q), dtype=np.int64)
+    cb = np.random.default_rng(2).standard_normal((4, 8, 3))
+    scale = np.linspace(5.0, 40.0, 12)
+    put = ray.put
+    run, cls = {
+        "brute_force_topk": (
+            lambda ds: brute_force_topk(ds, q, qids, k=k),
+            TopKScorer(put(q), put(qids), k, "vec_id", "embedding")),
+        "pq_topk": (
+            lambda ds: pq_topk(ds, q, qids, m=4, k=k, codebooks=cb),
+            PqScorer(put(cb), put(q), put(qids), k, "vec_id", "embedding")),
+        "quantized_topk": (
+            lambda ds: quantized_topk(ds, q, qids, k=k, scale=scale),
+            QuantizedTopKScorer(put(q), put(qids), put(scale), k, "vec_id", "embedding")),
+    }[stage]
+    got = run(as_ds(tbl))
+    assert got.num_rows == k * len(q)
+    assert got.equals(topk_in_process(cls, tbl, k).select(got.column_names))
+
+
+TWO_CPU_TOPK = r"""
+import sys
+
+import numpy as np
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+
+from graphx_ray.functions.similarity import brute_force_topk
+
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+q = np.load(sys.argv[2])
+out = brute_force_topk(rd.read_parquet(sys.argv[1]), q, np.arange(len(q)), k=5)
+pq.write_table(out, sys.argv[3])
+ray.shutdown()
+print("TWO-CPU-OK")
+"""
+
+
+def test_brute_force_topk_completes_in_a_two_cpu_session(ray_session, tmp_path):
+    """Four half-CPU scorer actors held both CPUs of a 2-CPU session and
+    the parquet read feeding them never ran; as tasks the stage reserves
+    nothing, and the answer equals the 4-CPU session's."""
+    vecs = tmp_path / "vecs"
+    vecs.mkdir()
+    tbl = vectors()
+    for i in range(4):
+        pq.write_table(tbl.slice(i * 75, 75), vecs / f"p{i}.parquet")
+    q = queries()
+    np.save(tmp_path / "q.npy", q)
+    out = run_child(TWO_CPU_TOPK, vecs, tmp_path / "q.npy", tmp_path / "out.parquet",
+                    what="brute_force_topk in a 2-CPU Ray session")
+    assert "TWO-CPU-OK" in out
+    want = brute_force_topk(rd.read_parquet(str(vecs)), q, np.arange(len(q)), k=5)
+    assert pq.read_table(tmp_path / "out.parquet").equals(want)
