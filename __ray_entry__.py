@@ -590,10 +590,10 @@ def _hyperanf_oracle(*, p: int, iters: int) -> str:
     as _hll_oracle), ``iters`` unrolled max-merge rounds along the
     symmetric adjacency, then the published estimator with the
     absent-register trick and linear-counting correction per (vid, t)."""
-    from graphx_ray.functions.sketch import _alpha as _alpha_hll
+    from graphx_ray.ids import hll_alpha
 
     m = 1 << p
-    alpha = _alpha_hll(m)
+    alpha = hll_alpha(m)
     _m1, _m2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
     maxrho = 64 - p + 1
     pos = " UNION ALL ".join(

@@ -8,7 +8,7 @@ superstep; `--scaling` runs the headline in fresh processes at 8 and 32
 CPUs on the SAME input and reports throughput at both plus the scaling
 efficiency thr_hi / ((hi/lo) · thr_lo).
 
-Also times a representative subset of the driver queries() on $GRAFT_SF_DIR.
+Also times every driver query (``__ray_entry__.queries()``) on $GRAFT_SF_DIR.
 
 Prints ONE JSON line.
 """
@@ -30,118 +30,6 @@ N_CONVS = int(os.environ.get("GRAFT_BENCH_CONVS", "150000"))
 N_HOURS = 2000
 BENCH_DELTA_S = 60  # thin zone window keeps the Zipf-hot hour bounded
 PR_ITERS = int(os.environ.get("GRAFT_BENCH_ITERS", "12"))
-
-QUERY_NAMES = [
-    "degrees_orders",
-    "edge_weights_lineitem",
-    "pagerank_chain",
-    "pagerank_tol_chain",
-    "cc_lineitem",
-    "scc_events",
-    "bfs_orders",
-    "triangles_events",
-    "motif_feedback_events",
-    "zone_pairs_events",
-    "exact_dedup_documents",
-    "token_counts_documents",
-    "vocab_bigrams_documents",
-    "tfidf_documents",
-    "pregel_maxprop_chain",
-    "minhash_near_dups",
-    "curation_documents",
-    "curation_minhash_documents",
-    "cosine_near_dups",
-    "ann_cosine_topk",
-    "window_tumbling_events",
-    "window_sliding_events",
-    "asof_events_purchase",
-    "range_join_events",
-    "svdpp_lineitem",
-    "subgraph_triplets_lineitem",
-    "repetition_documents",
-    "kmeans_embeddings",
-    "semdedup_embeddings",
-    "kcore_lineitem",
-    "media_decode_image",
-    "media_decode_audio",
-    "edge_list_lineitem",
-    "coreness_lineitem",
-    "csv_roundtrip_lineitem",
-    "bfs_paths_events",
-    "sssp_weighted_lineitem",
-    "session_windows_events",
-    "substring_dedup_documents",
-    "kll_quantiles_events",
-    "svdpp_fixed_lineitem",
-    "media_decode_video",
-    "triangles_approx_events",
-    "topk_lineitems",
-    "hits_chain",
-    "random_walks_chain",
-    "line_dedup_documents",
-    "winnow_documents",
-    "contamination_documents",
-    "countmin_lineitem",
-    "mis_events",
-    "closeness_chain",
-    "clustering_events",
-    "linkpred_events",
-    "classifier_documents",
-    "hyperanf_events",
-    "densest_events",
-    "katz_chain",
-    "assortativity_events",
-    "lm_surprisal_documents",
-    "ann_quantized_topk",
-    "temperature_sample_documents",
-    "edge_jaccard_events",
-    "bpe_round1_documents",
-    "diameter_events",
-    "harmonic_events",
-    "pic_events",
-    "bpe_encode_documents",
-    "pca_proj_embeddings",
-    "dbscan_embeddings",
-    "curation_best_documents",
-    "effective_diameter_events",
-    "eigencentrality_events",
-    "jl_project_embeddings",
-    "chunk_documents",
-    "louvain_events",
-    "matching_events",
-    "bloom_probe_customer",
-    "salsa_chain",
-    "fuzzy_contamination_documents",
-    "event_transitions_events",
-    "cohort_retention_events",
-    "linkpred_ra_events",
-    "kmv_ndv_events",
-    "kmv_jaccard_orders",
-    "reciprocity_events",
-    "transitivity_events",
-    "powerlaw_events",
-    "trussness_events",
-    "funnel_events",
-    "pmi_documents",
-    "richclub_events",
-    "outer_join_events",
-    "lpa_seeded_events",
-    "kmv_overlap_events",
-    "gini_events",
-    "hash_split_documents",
-    "event_gaps_events",
-    # session-5 additions
-    "widest_path_lineitem",
-    "topo_layers_grid",
-    "shuffle_documents",
-    "condensation_events",
-    "ann_pq_topk",
-    "coparts_lineitem",
-    "knn_graph_embeddings",
-    "global_rank_orders",
-    "distance_oracle_chain",
-    "priority_sample_orders",
-]
 
 
 def tx_path() -> str:
@@ -233,12 +121,11 @@ def run_headline() -> dict:
 def run_queries() -> dict:
     import __ray_entry__ as entrymod
 
-    qs = entrymod.queries()
     out = {}
-    for name in QUERY_NAMES:
+    for name, query in entrymod.queries().items():
         t0 = time.time()
         try:
-            res = qs[name](SF_DIR)
+            res = query(SF_DIR)
             # consume lazily-built datasets so timing covers execution
             if hasattr(res, "count"):
                 res.count()

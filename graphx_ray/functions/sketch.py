@@ -29,18 +29,7 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from graphx_ray.ids import hash_text64, mix64
-
-
-def _alpha(m: int) -> float:
-    """Bias-correction constant of the published HLL estimator."""
-    if m == 16:
-        return 0.673
-    if m == 32:
-        return 0.697
-    if m == 64:
-        return 0.709
-    return 0.7213 / (1.0 + 1.079 / m)
+from graphx_ray.ids import hash_text64, hll_alpha, hll_registers, mix64
 
 
 def _hash_col(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -51,30 +40,11 @@ def _hash_col(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return hash_text64(col.to_pandas())
 
 
-def _registers(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(register index, rho) per value: register = top p bits, rho = 1 +
-    leading zeros of the remaining 64−p bits (capped at 64−p+1)."""
-    m = 1 << p
-    reg = (h >> np.uint64(64 - p)).astype(np.int64)
-    rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)  # pad tail with 1s
-    # leading zeros of `rest` via float64 exponent is unsafe past 2^53 —
-    # use a bit-length loop over the 64-bit lanes (6 vectorized steps)
-    lz = np.zeros(len(h), np.uint64)
-    x = rest.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = x < (np.uint64(1) << np.uint64(64 - shift))
-        lz[mask] += np.uint64(shift)
-        x[mask] = x[mask] << np.uint64(shift)
-    rho = lz.astype(np.int64) + 1
-    np.minimum(rho, 64 - p + 1, out=rho)
-    return reg, rho
-
-
 def _estimate(regs: np.ndarray, p: int) -> float:
     """Fold a dense 2^p register vector into the HLL estimate (with the
     published linear-counting small-range correction)."""
     m = 1 << p
-    est = _alpha(m) * m * m / np.sum(np.power(2.0, -regs.astype(np.float64)))
+    est = hll_alpha(m) * m * m / np.sum(np.power(2.0, -regs.astype(np.float64)))
     zeros = int((regs == 0).sum())
     if est <= 2.5 * m and zeros:
         est = m * np.log(m / zeros)
@@ -90,7 +60,7 @@ def approx_count_distinct(ds: Dataset, col: str, *, p: int = 14,
         if batch.num_rows == 0:
             return pa.table({"register": pa.array([], pa.int64()),
                              "rho": pa.array([], pa.int64())})
-        reg, rho = _registers(_hash_col(batch[col]), p)
+        reg, rho = hll_registers(_hash_col(batch[col]), p)
         order = np.argsort(reg, kind="stable")
         reg, rho = reg[order], rho[order]
         new = np.empty(len(reg), bool)
@@ -131,7 +101,7 @@ def grouped_approx_ndv(ds: Dataset, keys: list[str], col: str, *, p: int = 12,
                 {**{k: batch[k] for k in keys},
                  "register": pa.array([], pa.int64()), "rho": pa.array([], pa.int64())}
             )
-        reg, rho = _registers(_hash_col(batch[col]), p)
+        reg, rho = hll_registers(_hash_col(batch[col]), p)
         kcols = []
         decode = {}
         for k in keys:

@@ -53,6 +53,35 @@ def mix64(vals) -> np.ndarray:
         return x
 
 
+def hll_alpha(m: int) -> float:
+    """Bias-correction constant of the published HLL estimator."""
+    if m == 16:
+        return 0.673
+    if m == 32:
+        return 0.697
+    if m == 64:
+        return 0.709
+    return 0.7213 / (1.0 + 1.079 / m)
+
+
+def hll_registers(h: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, rho) per value: register = top p bits, rho = 1 +
+    leading zeros of the remaining 64−p bits (capped at 64−p+1)."""
+    reg = (h >> np.uint64(64 - p)).astype(np.int64)
+    rest = (h << np.uint64(p)) | np.uint64((1 << p) - 1)  # pad tail with 1s
+    # leading zeros of `rest` via float64 exponent is unsafe past 2^53 —
+    # use a bit-length loop over the 64-bit lanes (6 vectorized steps)
+    lz = np.zeros(len(h), np.uint64)
+    x = rest.copy()
+    for shift in (32, 16, 8, 4, 2, 1):
+        mask = x < (np.uint64(1) << np.uint64(64 - shift))
+        lz[mask] += np.uint64(shift)
+        x[mask] = x[mask] << np.uint64(shift)
+    rho = lz.astype(np.int64) + 1
+    np.minimum(rho, 64 - p + 1, out=rho)
+    return reg, rho
+
+
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
 

@@ -137,6 +137,12 @@ def _default_parts() -> int:
 # deadlock). Ray's logical CPUs are admission control, not an OS limit.
 _Host = ray.remote(num_cpus=0)(csr.ShardHost)
 
+
+@ray.remote
+def _finish_part(fn, table: pa.Table) -> pa.Table:
+    return fn(table)
+
+
 # Idle host actors of the current Ray session, keyed by (node id, job id):
 # a list left over from an earlier session is dropped, never used. Graphs
 # and pipelines on several threads share it, so take and return hosts
@@ -344,7 +350,7 @@ class Graph:
     def _result_ds(
         self, actors, method: str, *args, output_path: str | None = None,
         as_table: bool = False, rename: list | None = None,
-        parts: list[int] | None = None,
+        parts: list[int] | None = None, finish=None,
     ):
         """An algorithm's result: one table per shard from its
         ``method(*args)``, columns renamed on the shard
@@ -360,7 +366,11 @@ class Graph:
 
         ``parts`` restricts which shards contribute (aggregate_messages
         skips message-less parts, whose empty table has a placeholder
-        dtype)."""
+        dtype). ``finish(table)`` reshapes every part in a task before it
+        becomes a Dataset (not with ``output_path``): an empty part keeps
+        its typed schema, which a Ray Data map over empty blocks drops.
+        It runs in a task, not on the shard, because its module may
+        import Ray Data, which the shard hosts never load."""
         idx = parts if parts is not None else range(len(actors))
         if output_path and not as_table:
             # read back ONLY the part files just written — a reused
@@ -374,6 +384,8 @@ class Graph:
             )
             return rd.read_parquet(paths)
         refs = [actors[p].result_table.remote(method, list(args), rename) for p in idx]
+        if finish is not None:
+            refs = [_finish_part.remote(finish, r) for r in refs]
         return pa.concat_tables(ray.get(refs)) if as_table else rd.from_arrow_refs(refs)
 
     def _fingerprint(self, algo: str, params: dict, man: dict) -> dict:

@@ -10,23 +10,26 @@ neighborhood function / effective-diameter curve, THE published way to
 measure distance distributions on web-scale graphs (it replaced exact
 BFS-from-every-vertex, which is O(V·E)).
 
-Engine shape (all storage-backed, nothing driver-sized):
+Engine shape: one ``Graph._supersteps`` run on the shard hosts' undirected
+view (the canonical simple graph), nothing driver-sized:
 
-- counters live SPARSE as (vid, register, rho) rows — at most m = 2^p
-  rows per vertex, exactly the representation ``sketch.grouped_approx_ndv``
-  uses, so the DuckDB oracle replays registers bit-identically
-  (splitmix64 hash, bit-length rho, max-merge is order-free);
-- one step = one ``bucket_join`` (neighbor registers ride the symmetric
-  adjacency) + one ``grouped_reduce(max)`` keyed (vid, register) — the
-  same two-shuffle cost as a derive-composed superstep. A CSR-engine
-  variant would pack registers into per-part arrays; this composition is
-  the honest Dataset-API expression and keeps every step resumable;
-- estimates fold inside a vid-keyed ``partitioned_map`` (never on the
-  driver), with the published dense estimator + linear-counting
-  small-range correction (the absent-register trick: each of the
-  m − n_present empty registers contributes 2⁰ = 1 to the denominator);
-- ball sizes are reported as ``floor(est + 0.5)`` int64 — the repo's
-  pinned half-up recipe, shared with ``approx_ndv_events``.
+- a vertex's counter is a row of 2^p int64 registers (rho, 0 = absent)
+  of a 2-D vertex value — splitmix64 hash, bit-length rho, so the
+  DuckDB oracle replays the registers bit-identically;
+- one step is the ``scatter_max``/``gather_max`` exchange every max
+  fixpoint uses: register rows are pre-merged per destination before the
+  shuffle, and the elementwise max is order-free;
+- after each step every shard folds its counters into ball sizes
+  (``CsrShard.hll_fold``) with the published dense estimator +
+  linear-counting small-range correction (the absent-register trick:
+  each of the m − n_present empty registers contributes 2⁰ = 1 to the
+  denominator); ball sizes are ``floor(est + 0.5)`` int64 — the repo's
+  pinned half-up recipe, shared with ``approx_ndv_events``;
+- the shards return one (vid, deg, balls) row per vertex, the iters + 1
+  ball sizes as a list; ``hyperanf`` unrolls it to (vid, t, ball), and
+  the harmonic and effective-diameter folds read it directly. The
+  vertices are the endpoints of canonical u ≠ v edges (deg > 0): a
+  vertex with only self-loops is in the shard universe, not the output.
 """
 
 from __future__ import annotations
@@ -35,53 +38,40 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
-from graphx_ray.functions.sketch import _alpha, _registers
-from graphx_ray.ids import mix64
-
-REG_SCHEMA = pa.schema(
-    [("vid", pa.int64()), ("register", pa.int64()), ("rho", pa.int64())]
-)
 BALL_SCHEMA = pa.schema(
     [("vid", pa.int64()), ("t", pa.int64()), ("ball", pa.int64())]
 )
 
 
-def _fold_balls(p: int, t: int):
-    """vid-keyed fold of sparse registers → (vid, t, ball) — vectorized
-    lexsort + reduceat over the whole partition."""
-    m = 1 << p
-    alpha = _alpha(m)
+def _ball_rows(edges, p: int, iters: int, num_parts: int, finish) -> Dataset:
+    """``finish`` of each shard's (vid, deg, balls) table, a row per
+    vertex of the shard universe: deg its canonical degree, balls its
+    iters + 1 ball sizes, t = 0..iters."""
+    from graphx_ray.pipelines.graph import Graph
 
-    def fold(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return BALL_SCHEMA.empty_table()
-        vid = tbl["vid"].to_numpy()
-        reg = tbl["register"].to_numpy()
-        rho = tbl["rho"].to_numpy()
-        # register as the inner sort key pins the engine's summation order
-        # (ascending register id) — see the oracle note on float sums
-        order = np.lexsort((reg, vid))
-        vid, rho = vid[order], rho[order]
-        new = np.ones(len(vid), bool)
-        new[1:] = vid[1:] != vid[:-1]
-        starts = np.flatnonzero(new)
-        npres = np.diff(np.append(starts, len(vid)))
-        s = np.add.reduceat(np.power(2.0, -rho.astype(np.float64)), starts)
-        zeros = m - npres
-        raw = alpha * m * m / (s + zeros)
-        with np.errstate(divide="ignore"):
-            lin = m * np.log(m / np.maximum(zeros, 1).astype(np.float64))
-        est = np.where((raw <= 2.5 * m) & (zeros > 0), lin, raw)
-        return pa.table(
-            {
-                "vid": pa.array(vid[starts]),
-                "t": pa.array(np.full(len(starts), t, np.int64)),
-                "ball": pa.array(np.floor(est + 0.5).astype(np.int64)),
-            },
-            schema=BALL_SCHEMA,
+    def n_t(res: list) -> dict:
+        return {"n_t": int(sum(res))}
+
+    g = Graph(edges, num_parts=num_parts)
+    try:
+        actors, man = g._pool("undirected")
+        g._supersteps(
+            actors, man, "hyperanf",
+            phases=lambda it: [(("scatter_max",), ("gather_max",)), ("hll_fold", p, it + 1)],
+            max_iter=iters, summary=n_t, init=("hll_fold", p, 0),
         )
+        return g._result_ds(actors, "state_table", {"deg": "outdeg", "balls": "balls"},
+                            finish=finish)
+    finally:
+        g.close()
 
-    return fold
+
+def _balls(part: pa.Table) -> tuple:
+    """The rows of vertices with an edge: (vid, 2-D ball matrix)."""
+    keep = pa.array(part["deg"].to_numpy() > 0)
+    balls = part["balls"].filter(keep).combine_chunks()
+    b = balls.flatten().to_numpy().reshape(-1, balls.type.list_size)
+    return part["vid"].filter(keep), b
 
 
 def hyperanf(
@@ -89,78 +79,18 @@ def hyperanf(
 ) -> Dataset:
     """(vid, t, ball) for t = 0..iters over the undirected simple graph:
     ball(v, t) ≈ |{u : dist(u, v) ≤ t}| from a 2^p-register HLL."""
-    from graphx_ray.pipelines.graph import _as_dataset
-    from graphx_ray.stages.derive import (
-        canonical_edges,
-        grouped_reduce,
-        partitioned_map,
-    )
-    from graphx_ray.stages.motif import bucket_join
 
-    can = canonical_edges(_as_dataset(edges))
-
-    def both(batch: pa.Table) -> pa.Table:
-        u = batch["u"].to_numpy()
-        v = batch["v"].to_numpy()
+    def unroll(part: pa.Table) -> pa.Table:
+        vid, b = _balls(part)
+        n, k = b.shape
         return pa.table(
-            {
-                "c": pa.array(np.concatenate([u, v]), type=pa.int64()),
-                "n": pa.array(np.concatenate([v, u]), type=pa.int64()),
-            }
+            {"vid": pa.array(np.repeat(vid.to_numpy(), k)),
+             "t": pa.array(np.tile(np.arange(k, dtype=np.int64), n)),
+             "ball": pa.array(b.ravel())},
+            schema=BALL_SCHEMA,
         )
 
-    adj = can.map_batches(both, batch_format="pyarrow", zero_copy_batch=True)
-
-    def init(batch: pa.Table) -> pa.Table:
-        vid = np.unique(
-            np.concatenate([batch["u"].to_numpy(), batch["v"].to_numpy()])
-        )
-        reg, rho = _registers(mix64(vid.astype(np.uint64)), p)
-        return pa.table(
-            {"vid": pa.array(vid, type=pa.int64()),
-             "register": pa.array(reg), "rho": pa.array(rho)},
-            schema=REG_SCHEMA,
-        )
-
-    # per-batch endpoints may repeat across batches; the max-reduce below
-    # absorbs duplicates (identical (vid, register, rho) rows — max is
-    # idempotent), so no distinct pass is needed
-    regs = grouped_reduce(
-        can.map_batches(init, batch_format="pyarrow", zero_copy_batch=True),
-        ["vid", "register"], sum_col="rho", agg="max",
-        num_partitions=num_parts, empty_schema=REG_SCHEMA,
-    )
-
-    out = partitioned_map(
-        regs, ["vid"], _fold_balls(p, 0),
-        num_partitions=num_parts, empty_schema=BALL_SCHEMA,
-    )
-    for t in range(1, iters + 1):
-        moved = bucket_join(
-            adj, regs, on="n", right_on="vid", num_partitions=num_parts
-        )
-
-        def recenter(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {"vid": batch["c"], "register": batch["register"],
-                 "rho": batch["rho"]},
-                schema=REG_SCHEMA,
-            )
-
-        msgs = moved.map_batches(
-            recenter, batch_format="pyarrow", zero_copy_batch=True
-        )
-        regs = grouped_reduce(
-            msgs.union(regs), ["vid", "register"], sum_col="rho", agg="max",
-            num_partitions=num_parts, empty_schema=REG_SCHEMA,
-        )
-        out = out.union(
-            partitioned_map(
-                regs, ["vid"], _fold_balls(p, t),
-                num_partitions=num_parts, empty_schema=BALL_SCHEMA,
-            )
-        )
-    return out
+    return _ball_rows(edges, p, iters, num_parts, unroll)
 
 
 HARMONIC_SCHEMA = pa.schema(
@@ -179,44 +109,23 @@ def hyperball_harmonic(
     are order-free and the SQL oracle replays bit-identically; no float
     division ever happens. Caller divides by 2e6.
 
-    One vid-keyed ``partitioned_map`` over the (vid, t, ball) output of
-    ``hyperanf`` — each vertex's iters+1 rows are co-resident."""
+    A per-row fold of the shards' ball rows (each vertex's iters + 1
+    ball sizes are one row) — no shuffle."""
     for t in range(1, iters + 1):
         if 2_000_000 % t:
             raise ValueError(
                 f"t={t} does not divide 2e6 — weights would not be exact"
             )
-    from graphx_ray.stages.derive import partitioned_map
+    wt = np.array([2_000_000 // t for t in range(1, iters + 1)], np.int64)
 
-    balls = hyperanf(edges, p=p, iters=iters, num_parts=num_parts)
-    w = {t: 2_000_000 // t for t in range(1, iters + 1)}
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return HARMONIC_SCHEMA.empty_table()
-        vid = tbl["vid"].to_numpy()
-        t = tbl["t"].to_numpy()
-        b = tbl["ball"].to_numpy()
-        order = np.lexsort((t, vid))
-        vid, t, b = vid[order], t[order], b[order]
-        new = np.ones(len(vid), bool)
-        new[1:] = vid[1:] != vid[:-1]
-        starts = np.flatnonzero(new)
-        # rows per vid are t = 0..iters in order after the lexsort
-        diff = np.zeros(len(b), np.int64)
-        diff[1:] = b[1:] - b[:-1]
-        diff[starts] = 0  # t = 0 row carries no increment
-        wt = np.array([0] + [w[i] for i in range(1, iters + 1)], np.int64)
-        h = np.add.reduceat(diff * wt[t], starts)
+    def fold(part: pa.Table) -> pa.Table:
+        vid, b = _balls(part)
         return pa.table(
-            {"vid": pa.array(vid[starts]), "harmonic_2e6": pa.array(h)},
+            {"vid": vid, "harmonic_2e6": pa.array((np.diff(b, axis=1) * wt).sum(axis=1))},
             schema=HARMONIC_SCHEMA,
         )
 
-    return partitioned_map(
-        balls, ["vid"], fold,
-        num_partitions=num_parts, empty_schema=HARMONIC_SCHEMA,
-    )
+    return _ball_rows(edges, p, iters, num_parts, fold)
 
 
 EFFDIAM_SCHEMA = pa.schema(
@@ -233,34 +142,29 @@ def effective_diameter(
     the interpolated smallest t with N(t) ≥ q·N(iters), where
     N(t) = Σ_v |ball(v, t)|.
 
-    Exact-integer contract: the global N(t) fold is an int64 keyed sum
-    of the (already integer) ball sizes — order-free; the crossing test
+    Exact-integer contract: the global N(t) fold is an int64 sum of the
+    (already integer) ball sizes — order-free; the crossing test
     is ``q_den·N(t) ≥ q_num·N(iters)`` (no float quantile); the linear
     interpolation is reported in micro-units via non-negative floor
     division, so the single output row replays bit-identically in SQL.
-    The driver folds only iters+1 integers — never anything
+    The driver folds one iters+1 partial per shard — never anything
     corpus-sized. ``iters`` should be ≥ the graph's effective diameter
     for the quantile to mean anything; the saturating N(t) makes an
     undersized ``iters`` visible (n_total stops growing)."""
     import ray.data as rd
 
-    from graphx_ray.stages.derive import grouped_reduce
-
     if not 0 < q_num <= q_den:
         raise ValueError((q_num, q_den))
-    balls = hyperanf(edges, p=p, iters=iters, num_parts=num_parts)
-    nf = (
-        grouped_reduce(
-            balls.select_columns(["t", "ball"]), ["t"], sum_col="ball",
-            num_partitions=min(num_parts, iters + 1),
-            empty_schema=pa.schema([("t", pa.int64()), ("ball", pa.int64())]),
-        )
-        .to_pandas()
-        .sort_values("t")
-    )
-    nt = [int(x) for x in nf["ball"]]
-    if not nt:
+
+    def partial(part: pa.Table) -> pa.Table:
+        _, b = _balls(part)
+        return pa.table({"rows": [len(b)], "n": [b.sum(axis=0).tolist()]})
+
+    # N(t) = Σ_v ball(v, t): one partial row per shard, summed here
+    parts = _ball_rows(edges, p, iters, num_parts, partial).take_all()
+    if not sum(r["rows"] for r in parts):
         return rd.from_arrow(EFFDIAM_SCHEMA.empty_table())
+    nt = np.sum([r["n"] for r in parts], axis=0, dtype=np.int64).tolist()
     ntot = nt[-1]
     d_e6 = 0
     for t, n in enumerate(nt):

@@ -1,22 +1,19 @@
 """Louvain community detection (SURVEY.md A.16).
 
-Three pieces:
+The local moves run on the shards (``Graph.louvain``); their pinned
+synchronous semantics (Blondel et al. 2008 modularity; the minimum-label
+synchronous variant of Lu, Halappanavar & Kalyanaraman 2015, "Parallel
+heuristics for scalable community detection") are replayed in numpy by
+the test oracle ``louvain_replay`` (tests/oracles.py) and in SQL by the
+unrolled oracle in ``__ray_entry__.py``.
 
-- ``louvain_replay`` — a pure numpy/pandas replay of the pinned
-  synchronous local-move semantics (Blondel et al. 2008 modularity; the
-  minimum-label synchronous variant of Lu, Halappanavar & Kalyanaraman
-  2015, "Parallel heuristics for scalable community detection"). This is
-  the pytest oracle for ``Graph.louvain`` and the recipe the unrolled SQL
-  oracle in ``__ray_entry__.py`` replays.
-- ``modularity`` — exact-integer modularity numerator over the same view
-  (Q = num / (2m)², so comparisons need no floats).
-- ``louvain_multilevel`` — the full Blondel multilevel loop composed from
-  scale primitives only: per level, engine local moves to convergence,
-  then community contraction via ``bucket_join`` + ``grouped_reduce``
-  (self-loops keep the internal weight; symmetric staging counts them 2w
-  in k), then recurse on the contracted graph and compose the vid →
-  community mapping back down. No stage materializes the full graph on
-  the driver.
+This module holds ``louvain_multilevel``, the full Blondel multilevel
+loop composed from scale primitives only: per level, engine local moves
+to convergence, then community contraction via ``bucket_join`` +
+``grouped_reduce`` (self-loops keep the internal weight; symmetric
+staging counts them 2w in k), then recurse on the contracted graph and
+compose the vid → community mapping back down. No stage materializes the
+full graph on the driver.
 
 Pinned per-round semantics (all exact int64, valid while 2m·k_max < 2^63):
 vol(C) = Σ_{c(v)=C} k(v); per vertex v with A = c(v) and neighbor
@@ -29,124 +26,8 @@ join a singleton community only when the target id is smaller).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from ray.data import Dataset
-
-
-def _view(edges: pd.DataFrame, weighted: bool):
-    """The pinned undirected view as symmetric rows (matching symmetric
-    staging, which writes each input row in both directions — self-loops
-    therefore appear twice and contribute 2w to k)."""
-    src = edges["src"].to_numpy().astype(np.int64)
-    dst = edges["dst"].to_numpy().astype(np.int64)
-    if weighted:
-        w = (
-            edges["w"].to_numpy().astype(np.int64)
-            if "w" in edges.columns
-            else np.ones(len(src), np.int64)
-        )
-    else:
-        u = np.minimum(src, dst)
-        v = np.maximum(src, dst)
-        keep = u != v
-        pairs = np.unique(np.stack([u[keep], v[keep]], axis=1), axis=0)
-        src, dst = pairs[:, 0], pairs[:, 1]
-        w = np.ones(len(src), np.int64)
-    s = np.concatenate([src, dst])
-    d = np.concatenate([dst, src])
-    ww = np.tile(w, 2)
-    return s, d, ww
-
-
-def louvain_replay(
-    edges: pd.DataFrame, *, max_rounds: int = 10, weighted: bool = False
-) -> pd.DataFrame:
-    """Reference replay of ``Graph.louvain``; returns (vid, community)."""
-    s, d, w = _view(edges, weighted)
-    vids = np.unique(np.concatenate([s, d]))
-    n = len(vids)
-    si = np.searchsorted(vids, s)
-    di = np.searchsorted(vids, d)
-    k = np.zeros(n, np.int64)
-    np.add.at(k, si, w)
-    two_m = int(k.sum())
-    w_eff = np.where(si == di, 0, w)  # self-loops: in k, not in w(v→·)
-    lab = vids.copy()
-
-    for _ in range(max_rounds):
-        vol = np.zeros(n, np.int64)
-        # vol indexed by community POSITION in vids (labels are vids)
-        lab_pos = np.searchsorted(vids, lab)
-        np.add.at(vol, lab_pos, k)
-        size = np.bincount(lab_pos, minlength=n)
-        # per-edge candidate rows: (dst, label(src), w_eff)
-        cl = lab[si]
-        cl_pos = lab_pos[si]
-        own = lab[di]
-        # aggregate w per (dst, cand label)
-        order = np.lexsort((cl, di))
-        dd, ll, wwv = di[order], cl[order], w_eff[order]
-        llp = cl_pos[order]
-        newg = np.ones(len(dd), bool)
-        if len(dd) > 1:
-            newg[1:] = (dd[1:] != dd[:-1]) | (ll[1:] != ll[:-1])
-        rs = np.flatnonzero(newg)
-        gd, gl, glp = dd[rs], ll[rs], llp[rs]
-        gw = np.add.reduceat(wwv, rs) if len(rs) else np.empty(0, np.int64)
-        gvol = vol[glp]
-        gsing = size[glp] == 1
-        gown = lab[gd]
-        is_own = gl == gown
-        stay_w = np.zeros(n, np.int64)
-        stay_w[gd[is_own]] = gw[is_own]
-        vol_own = vol[lab_pos]
-        stay = two_m * stay_w - k * (vol_own - k)
-        cd, clb, cw = gd[~is_own], gl[~is_own], gw[~is_own]
-        cv, cf = gvol[~is_own], gsing[~is_own]
-        if len(cd) == 0:
-            break
-        sc = two_m * cw - k[cd] * cv
-        o2 = np.lexsort((clb, -sc, cd))
-        cd2, cl2, sc2, cf2 = cd[o2], clb[o2], sc[o2], cf[o2]
-        first = np.ones(len(cd2), bool)
-        if len(cd2) > 1:
-            first[1:] = cd2[1:] != cd2[:-1]
-        bd, bl, bs, bf = cd2[first], cl2[first], sc2[first], cf2[first]
-        own_b = lab[bd]
-        guard = (vol_own[bd] == k[bd]) & bf & (bl > own_b)
-        move = (bs > stay[bd]) & ~guard
-        if not move.any():
-            break
-        lab[bd[move]] = bl[move]
-    return pd.DataFrame({"vid": vids, "community": lab})
-
-
-def modularity_num(edges: pd.DataFrame, labels: pd.DataFrame, *, weighted: bool = False):
-    """Exact modularity as (numerator, (2m)²): Q = num / (2m)² with
-    num = Σ_C [2m·e_C − vol_C²], e_C = Σ symmetric-edge weight inside C
-    (self-loops counted twice, as staged)."""
-    s, d, w = _view(edges, weighted)
-    vids = np.unique(np.concatenate([s, d]))
-    lab = (
-        labels.set_index("vid")["community"]
-        .reindex(vids)
-        .to_numpy()
-        .astype(np.int64)
-    )
-    si = np.searchsorted(vids, s)
-    di = np.searchsorted(vids, d)
-    k = np.zeros(len(vids), np.int64)
-    np.add.at(k, si, w)
-    two_m = int(k.sum())
-    comms, pos = np.unique(lab, return_inverse=True)
-    vol = np.zeros(len(comms), np.int64)
-    np.add.at(vol, pos, k)
-    inside = lab[si] == lab[di]
-    e = np.zeros(len(comms), np.int64)
-    np.add.at(e, pos[si[inside]], w[inside])
-    num = int((two_m * e.astype(object) - vol.astype(object) ** 2).sum())
-    return num, two_m * two_m
 
 
 def _undirected_weighted(edges: Dataset, weighted: bool) -> Dataset:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+import ray.data as rd
 from ray.data import Dataset
 
 from graphx_ray.stages.derive import grouped_reduce, semi_join
@@ -313,131 +314,45 @@ def k_core(
     *,
     num_partitions: int = 16,
     max_rounds: int = 64,
-    broadcast_limit: int = 4_000_000,
 ) -> Dataset:
-    """k-core decomposition (fixed k): iteratively peel vertices with
-    degree < k until a fixpoint; returns (vid, deg) of the surviving
-    vertices with their degree INSIDE the core subgraph (all ≥ k).
+    """k-core (fixed k) of the canonical simple graph: (vid, deg) of every
+    vertex whose core number is ≥ k, with its degree INSIDE the core (all
+    ≥ k). Self-loops, parallel edges and weights do not count.
 
-    ``edges`` must be one row per undirected edge (canonical (src, dst),
-    no duplicates) with an integer ``w`` (degree = Σw over both endpoint
-    roles, matching ``derive.degrees``). Termination: a round that drops
-    no vertex is the fixpoint.
+    ``coreness`` plus one exchange on the same shards: every vertex
+    counts its neighbors of core number ≥ k. A vertex is in the k-core
+    iff that count is ≥ k (with k such neighbors it joins their core), so
+    the count is both the in-core degree and the membership test."""
+    from graphx_ray.pipelines.graph import Graph, _changed
 
-    Adaptive peel: each round is one storage-backed degree reduction; the
-    edge filter then takes one of two shapes. When the round's DROP set is
-    small (≤ ``broadcast_limit``, the common case after round 1 — and on
-    dense graphs every round), the dropped vids are broadcast once via
-    ``ray.put`` and edges stream through a single sorted-membership
-    ``map_batches`` — no shuffle at all. Only when a round drops more than
-    the limit does it fall back to two bucketed semi-joins against the
-    keep set (which is exactly the round where the keep set is the smaller
-    side). Broadcast rounds chain lazily; lineage is spilled to parquet
-    every 3 rounds so re-execution depth stays bounded.
-    """
-    import ray
+    if k < 1:
+        raise ValueError(f"k_core needs k ≥ 1, got {k}")
 
-    from graphx_ray.stages.derive import degrees
+    def send(src_core, w, outdeg):
+        return (src_core >= k).astype(np.int64)
 
-    cur = edges
-    lazy_depth = 0
-    converged = False
-    for _ in range(max_rounds):
-        deg = degrees(cur, num_partitions=num_partitions)
+    def take(old, msgs, got):
+        return msgs
 
-        def _dropped(batch: pa.Table) -> pa.Table:
-            d = batch["in_deg"].to_numpy() + batch["out_deg"].to_numpy()
-            return pa.table({"vid": batch["vid"].filter(pa.array(d < k))})
+    def inside(part: pa.Table) -> pa.Table:
+        return part.filter(pa.array(part["deg"].to_numpy() >= k))
 
-        def _keep(batch: pa.Table) -> pa.Table:
-            d = batch["in_deg"].to_numpy() + batch["out_deg"].to_numpy()
-            return pa.table({"vid": batch["vid"].filter(pa.array(d >= k))})
-
-        drop = deg.map_batches(_dropped, batch_format="pyarrow", zero_copy_batch=True)
-        n_drop = drop.count()
-        if n_drop == 0:
-            converged = True
-            break  # fixpoint
-        if n_drop <= broadcast_limit:
-            ids = np.sort(drop.to_pandas()["vid"].to_numpy())  # bounded by limit
-            ref = ray.put(ids)
-
-            def _filter(batch: pa.Table, _ref=ref) -> pa.Table:
-                bad = ray.get(_ref)
-                src = batch["src"].to_numpy()
-                dst = batch["dst"].to_numpy()
-                ok = ~(
-                    _sorted_member(bad, src) | _sorted_member(bad, dst)
-                )
-                return batch.filter(pa.array(ok))
-
-            cur = cur.map_batches(_filter, batch_format="pyarrow", zero_copy_batch=True)
-            lazy_depth += 1
-            if lazy_depth >= 3:
-                cur = _spill_edges(cur)
-                lazy_depth = 0
-        else:
-            keep = deg.map_batches(_keep, batch_format="pyarrow", zero_copy_batch=True)
-            cur = bucket_join(
-                cur, keep, on="src", right_on="vid", how="semi",
-                num_partitions=num_partitions,
-            )
-            cur = bucket_join(
-                cur, keep, on="dst", right_on="vid", how="semi",
-                num_partitions=num_partitions,
-            )
-            lazy_depth = 0
-
-    if not converged:
-        import warnings
-
-        warnings.warn(
-            f"k_core(k={k}) exhausted max_rounds={max_rounds} before the "
-            "peel fixpoint — the returned vertex set may NOT be a true "
-            "k-core (some vertices could still fall below k); raise "
-            "max_rounds",
-            RuntimeWarning,
-            stacklevel=2,
+    g = Graph(edges, num_parts=num_partitions)
+    try:
+        actors, man = _core_numbers(g, max_rounds)
+        g._supersteps(
+            actors, man, "k_core", ("scatter_pregel", send, "sum", "all"),
+            ("gather_pregel", take, "sum", "all"), max_iter=1, summary=_changed,
         )
-
-    n_edges = cur.count()
-    if n_edges == 0:  # fully peeled: keep a stable (vid, deg) schema
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table({"vid": pa.array([], pa.int64()), "deg": pa.array([], pa.int64())})
-        )
-
-    deg = degrees(cur, num_partitions=num_partitions)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        d = batch["in_deg"].to_numpy() + batch["out_deg"].to_numpy()
-        keep = d >= k
-        return pa.table(
-            {
-                "vid": batch["vid"].filter(pa.array(keep)),
-                "deg": pa.array(d[keep].astype(np.int64)),
-            }
-        )
-
-    return deg.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _sorted_member(sorted_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized membership of x in a SORTED array (searchsorted probe)."""
-    if len(sorted_vals) == 0:
-        return np.zeros(len(x), bool)
-    pos = np.searchsorted(sorted_vals, x)
-    pos = np.minimum(pos, len(sorted_vals) - 1)
-    return sorted_vals[pos] == x
+        return g._result_ds(actors, "state_table", {"deg": "val"}, finish=inside)
+    finally:
+        g.close()
 
 
 def _spill_edges(ds: Dataset) -> Dataset:
     """Write an edge Dataset to scratch parquet and re-read it — resets
     lazy lineage so iterative filters don't re-execute the whole chain."""
     import tempfile
-
-    import ray.data as rd
 
     from graphx_ray.context import register_spill
 
@@ -514,6 +429,38 @@ def pick_random_vertex(edges: Dataset, *, seed: int = 5) -> int:
     return int(p["vid"][0])
 
 
+def _core_numbers(g, max_rounds: int, checkpoint_dir: str | None = None,
+                  resume: bool = False):
+    """Run the H-index fixpoint on ``g``'s undirected view; every shard
+    then holds its vertices' core numbers as ``val``. Returns the view's
+    handles and manifest."""
+    from graphx_ray.pipelines.graph import _changed, _settled
+    from graphx_ray.state import checkpoint as ckpt
+
+    actors, man = g._pool("undirected")
+    fp = {"algo": "coreness", "P": g.P}
+    rec = g._supersteps(
+        actors, man, "coreness", ("hindex_ghost_vals",), ("hindex_step",),
+        max_iter=max_rounds, summary=_changed, stop=_settled, init=("hindex_init",),
+        checkpoint=(checkpoint_dir, fp, {"core": "val"}), resume=resume,
+    )
+    if rec is None and resume and checkpoint_dir:
+        # resumed at max_rounds: the checkpoint says whether it converged
+        it = ckpt.latest_complete(checkpoint_dir, fp)
+        rec = ckpt.manifest_metrics(checkpoint_dir, it) if it is not None else None
+    if rec is None or rec.get("changed") != 0:
+        import warnings
+
+        warnings.warn(
+            f"coreness exhausted max_rounds={max_rounds} before the "
+            "H-index fixpoint — returned core numbers are upper bounds, "
+            "not exact; raise max_rounds",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return actors, man
+
+
 def coreness(
     edges: Dataset,
     *,
@@ -535,41 +482,19 @@ def coreness(
     (the pull mirror of the scatter ghost exchange) and each peer reduces
     H over its edges — the driver routes ONLY ObjectRefs and per-shard
     changed counts (the round-2 design pulled one (v, c) row per vertex
-    to the driver every round). ``edges`` must be one row per undirected
-    edge (canonical, deduped); staging is unsalted — H is not
-    edge-decomposable, so a vertex's full neighborhood must stay
-    shard-local."""
-    from graphx_ray.pipelines.graph import Graph, _changed, _settled
-    from graphx_ray.state import checkpoint as ckpt
+    to the driver every round). It reads the canonical simple graph (the
+    ``undirected`` view: self-loops and parallel edges do not count);
+    staging is unsalted — H is not edge-decomposable, so a vertex's full
+    neighborhood must stay shard-local."""
+    from graphx_ray.pipelines.graph import Graph
 
     g = Graph(edges, num_parts=num_partitions)
     try:
-        actors, man = g._pool("undirected")
-        fp = {"algo": "coreness", "P": num_partitions}
-        cols = {"core": "cval"}
-        rec = g._supersteps(
-            actors, man, "coreness", ("hindex_ghost_vals",), ("hindex_step",),
-            max_iter=max_rounds, summary=_changed, stop=_settled, init=("hindex_init",),
-            checkpoint=(checkpoint_dir, fp, cols), resume=resume,
-        )
-        if rec is None and resume and checkpoint_dir:
-            # resumed at max_rounds: the checkpoint says whether it converged
-            it = ckpt.latest_complete(checkpoint_dir, fp)
-            rec = ckpt.manifest_metrics(checkpoint_dir, it) if it is not None else None
-        if rec is None or rec.get("changed") != 0:
-            import warnings
-
-            warnings.warn(
-                f"coreness exhausted max_rounds={max_rounds} before the "
-                "H-index fixpoint — returned core numbers are upper bounds, "
-                "not exact; raise max_rounds",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        actors, _ = _core_numbers(g, max_rounds, checkpoint_dir, resume)
         # the (vid, coreness) parts stay in the object store, owned by
         # this driver, so they outlive g.close(); the result never
         # assembles on the driver (Graph._result_ds)
-        res = g._result_ds(actors, "state_table", cols)
+        res = g._result_ds(actors, "state_table", {"core": "val"})
     finally:
         g.close()
     return res
@@ -883,31 +808,6 @@ def canonical_triangles(canon: Dataset, *, num_partitions: int = 16) -> Dataset:
                        how="semi", num_partitions=num_partitions)
 
 
-def edge_support(canon: Dataset, *, num_partitions: int = 16) -> Dataset:
-    """Per-edge triangle support over a CANONICAL (u<v, deduped) edge set:
-    (u, v, n) where n = triangles through the edge; edges in no triangle
-    are ABSENT (support 0). Triangle enumeration via
-    ``canonical_triangles`` (degree-DAG orientation, storage joins)."""
-    tri = canonical_triangles(canon, num_partitions=num_partitions)
-
-    # each triangle (a, x, y) supports edges (a,x), (a,y), (x,y) — canonical
-    def incr(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy()
-        x = batch["x"].to_numpy()
-        y = batch["y"].to_numpy()
-        u = np.concatenate([np.minimum(a, x), np.minimum(a, y), x])
-        v = np.concatenate([np.maximum(a, x), np.maximum(a, y), y])
-        key = np.stack([u, v], axis=1)
-        uq, cnt = np.unique(key, axis=0, return_counts=True)
-        return pa.table({"u": pa.array(uq[:, 0]), "v": pa.array(uq[:, 1]),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    return grouped_reduce(
-        tri.map_batches(incr, batch_format="pyarrow", zero_copy_batch=True),
-        ["u", "v"], sum_col="n", num_partitions=num_partitions,
-    )
-
-
 def k_truss(
     edges: Dataset,
     k: int,
@@ -916,58 +816,18 @@ def k_truss(
     max_rounds: int = 100,
 ) -> Dataset:
     """k-truss: the maximal subgraph of the canonical simple graph in which
-    every edge lies in ≥ k−2 triangles (SURVEY.md A.11). Iterated edge
-    peel: recompute per-edge support (``edge_support``), drop edges below
-    k−2, repeat to fixpoint — matching networkx.k_truss's edge set.
-    Returns the surviving canonical (u, v) edges as a Dataset.
+    every edge lies in ≥ k−2 triangles (SURVEY.md A.11), matching
+    networkx.k_truss's edge set. Returns the surviving canonical (u, v)
+    edges: the edges whose ``trussness`` is ≥ k."""
+    t = trussness(edges, num_partitions=num_partitions, max_rounds=max_rounds).materialize()
+    if not t.count():  # a map over empty blocks would drop the schema
+        return rd.from_arrow(TRUSS_SCHEMA.empty_table().select(["u", "v"]))
 
-    Each round is a handful of storage-backed shuffles (degrees, two
-    degree attachments, oriented wedge expansion, wedge-close semi-join,
-    one keyed reduce); the shrinking edge set is pinned to a parquet
-    spill between rounds — no broadcast or in-memory pin of anything
-    graph-sized."""
-    import os
-    import tempfile
+    def keep(batch: pa.Table) -> pa.Table:
+        m = pa.array(batch["trussness"].to_numpy() >= k)
+        return batch.select(["u", "v"]).filter(m)
 
-    import ray.data as rd
-
-    from graphx_ray.context import register_spill
-    from graphx_ray.stages.derive import canonical_edges
-
-    sch = edges.schema()
-    cur = canonical_edges(edges) if "src" in (sch.names or []) else edges
-    n_cur = cur.count()
-    spill = register_spill(tempfile.mkdtemp(prefix="graphx_truss_", dir="/tmp"))
-    for rnd in range(max_rounds):
-        if n_cur == 0:
-            break
-        supp = edge_support(cur, num_partitions=num_partitions)
-        nxt = bucket_join(cur, supp, on=["u", "v"], how="left",
-                          num_partitions=num_partitions)
-
-        def keep(batch: pa.Table) -> pa.Table:
-            n = batch["n"].to_pandas().fillna(0).to_numpy(np.int64)
-            m = pa.array(n >= k - 2)
-            return pa.table({"u": batch["u"], "v": batch["v"]}).filter(m)
-
-        nxt = nxt.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-        # no '=' in the dir name — read_parquet would hive-parse it into a column
-        rdir = os.path.join(spill, f"r{rnd}")
-        nxt.write_parquet(rdir)  # executes the round exactly once
-        import glob as _glob
-
-        if not _glob.glob(os.path.join(rdir, "*.parquet")):
-            # an all-dropped round leaves no part files — explicit empty
-            # table (ray.data drops empty schemas otherwise)
-            return rd.from_arrow(pa.schema(
-                [pa.field("u", pa.int64()), pa.field("v", pa.int64())]
-            ).empty_table())
-        nxt = rd.read_parquet(rdir)
-        n_nxt = nxt.count()
-        if n_nxt == n_cur:
-            return nxt
-        cur, n_cur = nxt, n_nxt
-    return cur
+    return t.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
 
 
 TRUSS_SCHEMA = pa.schema(
@@ -980,14 +840,14 @@ def trussness(
     *,
     num_partitions: int = 16,
     max_rounds: int = 200,
-    engine: bool = True,
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> Dataset:
     """FULL truss decomposition: (u, v, trussness) for every canonical
-    simple edge, trussness(e) = the largest k with e in the k-truss
-    (every edge is trivially in the 2-truss, so the minimum is 2) —
-    matching networkx.k_truss membership at every k (tested).
+    simple edge (self-loops and parallel edges do not count),
+    trussness(e) = the largest k with e in the k-truss (every edge is
+    trivially in the 2-truss, so the minimum is 2) — matching
+    networkx.k_truss membership at every k (tested).
 
     Computed WITHOUT nested peeling via the local H-index fixpoint of
     truss decomposition (Sariyüce, Seshadhri & Pinar, VLDB 2018 local
@@ -996,36 +856,27 @@ def trussness(
     triangle {e, f, g} offers e the value min(t(f), t(g)), and
     t(e) ← H-index of e's offered values; the fixpoint is trussness − 2.
     Monotone non-increasing from the support start, so convergence is
-    detected by the changed count / Σt alone.
+    detected by the changed count alone.
 
     Triangles are enumerated ONCE (``canonical_triangles``, DAG-oriented)
-    and spilled. ``engine=True`` (default, the scale path) runs the
-    rounds in the ``state/truss.TrussShard`` actor pool — each shard
-    pins its edge partition's triangle rows plus a one-time ghost index,
-    and a round is an in-memory H-index pass + a packed ghost value
-    exchange (ObjectRefs and changed counts are all the driver routes) —
-    measured 68 rounds in ~7 s at sf0.1 where the storage-round
-    composition took 563 s. ``engine=False`` keeps the pure-Dataset-API
-    rounds (two storage-backed bucket joins + one key-partitioned
-    H-index fold per round, Σt convergence probe) whose lineage Ray can
-    replay without actor state — bit-identical results (tested)."""
-    import glob as _glob
-    import os
-    import tempfile
-
-    import ray.data as rd
-
-    from graphx_ray.context import register_spill
-    from graphx_ray.stages.derive import canonical_edges, partitioned_map
+    and spilled by owning edge; the rounds run in the
+    ``state/truss.TrussShard`` actor pool — each shard pins its edge
+    partition's triangle rows plus a one-time ghost index, and a round is
+    an in-memory H-index pass + a packed ghost value exchange (ObjectRefs
+    and changed counts are all the driver routes) — measured 68 rounds in
+    ~7 s at sf0.1."""
+    from graphx_ray.stages.derive import canonical_edges
+    from graphx_ray.state.spill import hash_parts, spill
+    from graphx_ray.state.truss import truss_fixpoint
 
     sch = edges.schema()
-    can = canonical_edges(edges) if "src" in (sch.names or []) else edges
-
-    wd = register_spill(tempfile.mkdtemp(prefix="graphx_trussness_", dir="/tmp"))
+    can = (canonical_edges(edges) if "src" in (sch.names or []) else edges).materialize()
+    if not can.count():
+        return rd.from_arrow(TRUSS_SCHEMA.empty_table())
     tri = canonical_triangles(can, num_partitions=num_partitions)
 
     # explode each triangle into its 3 (edge, sibling1, sibling2) rows —
-    # written once; every round re-reads this fixed table
+    # spilled once by owning edge; the shards pin them for every round
     def explode(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_numpy()
         x = batch["x"].to_numpy()
@@ -1045,151 +896,25 @@ def trussness(
              "s2u": pa.array(s2u, type=pa.int64()), "s2v": pa.array(s2v, type=pa.int64())}
         )
 
-    exploded = tri.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    if engine:
-        from graphx_ray.state.spill import hash_parts, spill
-
-        tedge = spill(
-            exploded, lambda b: (b, hash_parts(b, ["eu", "ev"], num_partitions)),
-            num_partitions,
-        )
-        have_tri = bool(tedge.parts)
-    else:
-        tdir = os.path.join(wd, "tedge")
-        exploded.write_parquet(tdir)
-        have_tri = bool(_glob.glob(os.path.join(tdir, "*.parquet")))
-
-    def finish(t: Dataset | None) -> Dataset:
-        """canonical edges LEFT JOIN the fixpoint values; missing → 0."""
-        base = can
-        if t is None:
-            def zero(batch: pa.Table) -> pa.Table:
-                return pa.table(
-                    {"u": batch["u"], "v": batch["v"],
-                     "trussness": pa.array(np.full(batch.num_rows, 2, np.int64))},
-                    schema=TRUSS_SCHEMA,
-                )
-
-            return base.map_batches(zero, batch_format="pyarrow", zero_copy_batch=True)
-        j = bucket_join(base, t, on=["u", "v"], right_on=["eu", "ev"],
-                        how="left", num_partitions=num_partitions)
-
-        def fin(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            tv = pc.fill_null(batch["t"], 0).combine_chunks().to_numpy()
+    tedge = spill(
+        tri.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+        lambda b: (b, hash_parts(b, ["eu", "ev"], num_partitions)),
+        num_partitions,
+    )
+    if not tedge.parts:  # no triangle: every edge is only in the 2-truss
+        def two(batch: pa.Table) -> pa.Table:
             return pa.table(
                 {"u": batch["u"], "v": batch["v"],
-                 "trussness": pa.array(tv.astype(np.int64) + 2)},
+                 "trussness": pa.array(np.full(batch.num_rows, 2, np.int64))},
                 schema=TRUSS_SCHEMA,
             )
 
-        return j.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
+        return can.map_batches(two, batch_format="pyarrow", zero_copy_batch=True)
 
-    if not have_tri:
-        return finish(None)
-
-    if engine:
-        from graphx_ray.state.truss import truss_fixpoint
-
-        t, converged = truss_fixpoint(
-            tedge, num_partitions=num_partitions, max_rounds=max_rounds,
-            checkpoint_dir=checkpoint_dir, resume=resume,
-        )
-        if not converged:
-            import warnings
-
-            warnings.warn(
-                f"trussness exhausted max_rounds={max_rounds} before the "
-                "H-index fixpoint — returned values are upper bounds, not "
-                "exact; raise max_rounds",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return finish(t)
-
-    tedge = rd.read_parquet(tdir)
-
-    # t0 = support (count of triangles per edge — one keyed reduce)
-    def ones(batch: pa.Table) -> pa.Table:
-        key = np.stack([batch["eu"].to_numpy(), batch["ev"].to_numpy()], axis=1)
-        uq, cnt = np.unique(key, axis=0, return_counts=True)
-        return pa.table(
-            {"eu": pa.array(uq[:, 0]), "ev": pa.array(uq[:, 1]),
-             "t": pa.array(cnt.astype(np.int64))}
-        )
-
-    t = grouped_reduce(
-        tedge.map_batches(ones, batch_format="pyarrow", zero_copy_batch=True),
-        ["eu", "ev"], sum_col="t", num_partitions=num_partitions,
+    t, converged = truss_fixpoint(
+        tedge, num_partitions=num_partitions, max_rounds=max_rounds,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
-    tdir0 = os.path.join(wd, "t0")
-    t.write_parquet(tdir0)
-    t = rd.read_parquet(tdir0)
-    total = t.sum("t")
-
-    hschema = pa.schema([("eu", pa.int64()), ("ev", pa.int64()), ("t", pa.int64())])
-
-    def hfold(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return hschema.empty_table()
-        eu = tbl["eu"].to_numpy()
-        ev = tbl["ev"].to_numpy()
-        val = tbl["val"].to_numpy()
-        # per-edge H-index, vectorized: sort (edge, val DESC), rank within
-        # the edge run, h = #(val_i ≥ i) (prefix-closed on a DESC sort)
-        order = np.lexsort((-val, ev, eu))
-        eu, ev, val = eu[order], ev[order], val[order]
-        new = np.ones(len(eu), bool)
-        new[1:] = (eu[1:] != eu[:-1]) | (ev[1:] != ev[:-1])
-        starts = np.flatnonzero(new)
-        rank = np.arange(len(eu)) - np.repeat(
-            starts, np.diff(np.append(starts, len(eu)))
-        ) + 1
-        ok = (val >= rank).astype(np.int64)
-        h = np.add.reduceat(ok, starts)
-        return pa.table(
-            {"eu": pa.array(eu[starts]), "ev": pa.array(ev[starts]),
-             "t": pa.array(h)}, schema=hschema,
-        )
-
-    converged = False
-    for rnd in range(max_rounds):
-        j1 = bucket_join(tedge, t, on=["s1u", "s1v"], right_on=["eu", "ev"],
-                         num_partitions=num_partitions)
-        j2 = bucket_join(
-            j1,
-            t.map_batches(
-                lambda b: pa.table({"eu": b["eu"], "ev": b["ev"], "t2": b["t"]}),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            on=["s2u", "s2v"], right_on=["eu", "ev"], num_partitions=num_partitions,
-        )
-
-        def val(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {"eu": batch["eu"], "ev": batch["ev"],
-                 "val": pa.array(np.minimum(batch["t"].to_numpy(),
-                                            batch["t2"].to_numpy()))}
-            )
-
-        vals = j2.map_batches(val, batch_format="pyarrow", zero_copy_batch=True)
-        nt = partitioned_map(
-            vals, ["eu", "ev"], hfold, num_partitions=num_partitions,
-            empty_schema=hschema,
-        )
-        # no '=' in the dir name — read_parquet would hive-parse it
-        rdir = os.path.join(wd, f"r{rnd}")
-        nt.write_parquet(rdir)
-        nt = rd.read_parquet(rdir)
-        ntotal = nt.sum("t")
-        t = nt
-        # H-index iteration from the support start is pointwise
-        # non-increasing, so an unchanged Σt IS the pointwise fixpoint
-        if ntotal == total:
-            converged = True
-            break
-        total = ntotal
     if not converged:
         import warnings
 
@@ -1200,7 +925,22 @@ def trussness(
             RuntimeWarning,
             stacklevel=2,
         )
-    return finish(t)
+    # canonical edges LEFT JOIN the fixpoint values; an edge in no
+    # triangle has t = 0
+    j = bucket_join(can, t, on=["u", "v"], right_on=["eu", "ev"],
+                    how="left", num_partitions=num_partitions)
+
+    def fin(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        tv = pc.fill_null(batch["t"], 0).combine_chunks().to_numpy()
+        return pa.table(
+            {"u": batch["u"], "v": batch["v"],
+             "trussness": pa.array(tv.astype(np.int64) + 2)},
+            schema=TRUSS_SCHEMA,
+        )
+
+    return j.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
 
 
 DENSEST_SCHEMA = pa.schema(
@@ -1214,15 +954,15 @@ def densest_subgraph(
     factor: int = 4,
     max_rounds: int = 32,
     num_partitions: int = 16,
-    broadcast_limit: int = 4_000_000,
 ) -> Dataset:
     """Densest-subgraph 2(1+ε)-approximation by parallel greedy peel
-    (Bahmani, Kumar & Vazirani, VLDB 2012): each round drops EVERY vertex
-    whose degree·V ≤ factor·E (factor = 2(1+ε); the default 4 is ε = 1,
-    approximation ratio 4, round count ≤ log₂V + 1 by the published
-    lemma — the integer cross-multiplied threshold keeps the compare
-    exact, valid while deg·V < 2⁶³). The density-maximising prefix over
-    the peel rounds is the answer.
+    (Bahmani, Kumar & Vazirani, VLDB 2012) of the canonical simple graph
+    (self-loops and parallel edges do not count): each round drops EVERY
+    vertex whose degree·V ≤ factor·E (factor = 2(1+ε); the default 4 is
+    ε = 1, approximation ratio 4, round count ≤ log₂V + 1 by the
+    published lemma — the integer cross-multiplied threshold keeps the
+    compare exact, valid while deg·V < 2⁶³). The density-maximising
+    prefix over the peel rounds is the answer.
 
     Returns (vid, last_round, in_best) per ORIGINAL endpoint: last_round
     = the last round in which the vertex was still an edge endpoint
@@ -1230,118 +970,50 @@ def densest_subgraph(
     iff the vertex belongs to the densest recorded prefix S_r* (exact
     rational argmax of E_r/V_r, ties → earliest round).
 
-    Scale shape mirrors ``k_core``: one storage-backed degree reduce per
-    round; E and V come from the degree spill (E = Σdeg/2 — no second
-    pass over edges); the drop set broadcasts via ``ray.put`` when small
-    (the common case) with a bucketed semi-join fallback; lineage spills
-    every 3 lazy rounds. Membership rows total Σ_r V_r ≤ 2·V₀ by the
-    halving lemma, folded by one keyed max-reduce. Only the O(rounds)
-    (r, V, E) stats triples ever touch the driver.
-    """
-    import ray
+    One ``Graph._supersteps`` round per peel round on the undirected
+    view: the alive flags go to the neighbors in one exchange
+    (``densest_degrees``), and every shard folds the P partial (V, 2E)
+    and peels its own vertices (``densest_peel``). The run stops at the
+    first round with no vertex left or none dropped; only its last
+    (V, E, best round) record reaches the driver."""
+    from graphx_ray.pipelines.graph import Graph
 
-    from graphx_ray.pipelines.graph import _as_dataset
-    from graphx_ray.stages.derive import (
-        canonical_edges,
-        degrees,
-        grouped_reduce,
-    )
-    from graphx_ray.stages.motif import bucket_join
+    if max_rounds < 1:
+        raise ValueError(f"densest_subgraph needs max_rounds ≥ 1, got {max_rounds}")
 
-    can = canonical_edges(_as_dataset(edges))
+    def alive(src_alive, w):
+        return src_alive
 
-    def to_sdw(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {"src": batch["u"], "dst": batch["v"],
-             "w": pa.array(np.ones(batch.num_rows, np.int64))}
+    def summary(res: list) -> dict:
+        n_v, n_e, best, _ = res[0]  # every shard folded the same totals
+        return {"V": n_v, "E": n_e, "best_round": best,
+                "dropped": int(sum(r[3] for r in res))}
+
+    g = Graph(edges, num_parts=num_partitions)
+    try:
+        actors, man = g._pool("undirected")
+        rec = g._supersteps(
+            actors, man, "densest_subgraph",
+            phases=lambda r: [(("scatter_user", alive, "sum"), ("densest_degrees",)),
+                              ("densest_peel", factor, r, ...)],
+            max_iter=max_rounds, summary=summary,
+            stop=lambda rec: rec["V"] == 0 or rec["dropped"] == 0,
+            init=("init_value", "pr"),
         )
+        best_r = rec["best_round"]
 
-    cur = can.map_batches(to_sdw, batch_format="pyarrow", zero_copy_batch=True)
-    stats: list[tuple[int, int, int]] = []
-    memb: list[Dataset] = []
-    lazy_depth = 0
-    for r in range(max_rounds):
-        deg = degrees(cur, num_partitions=num_partitions)
-        n_v = deg.count()
-        if n_v == 0:
-            break
-        e2 = int(deg.sum("deg"))
-        n_e = e2 // 2
-        stats.append((r, n_v, n_e))
-
-        def tag(batch: pa.Table, _r=r) -> pa.Table:
+        def fin(part: pa.Table) -> pa.Table:
+            lr = part["last_round"].to_numpy()
+            keep = lr >= 0
             return pa.table(
-                {"vid": batch["vid"],
-                 "r": pa.array(np.full(batch.num_rows, _r, np.int64))}
+                {"vid": part["vid"].filter(pa.array(keep)), "last_round": lr[keep],
+                 "in_best": (lr[keep] >= best_r).astype(np.int64)},
+                schema=DENSEST_SCHEMA,
             )
 
-        memb.append(
-            deg.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        thr_v, thr_e = n_v, factor * n_e
-
-        def _dropped(batch: pa.Table, _v=thr_v, _e=thr_e) -> pa.Table:
-            d = batch["deg"].to_numpy()
-            return pa.table({"vid": batch["vid"].filter(pa.array(d * _v <= _e))})
-
-        def _keep(batch: pa.Table, _v=thr_v, _e=thr_e) -> pa.Table:
-            d = batch["deg"].to_numpy()
-            return pa.table({"vid": batch["vid"].filter(pa.array(d * _v > _e))})
-
-        drop = deg.map_batches(_dropped, batch_format="pyarrow", zero_copy_batch=True)
-        n_drop = drop.count()
-        if n_drop == 0:  # cannot happen (min-deg·V ≤ 2E ≤ factor·E), but safe
-            break
-        if n_drop <= broadcast_limit:
-            ids = np.sort(drop.to_pandas()["vid"].to_numpy())
-            ref = ray.put(ids)
-
-            def _filter(batch: pa.Table, _ref=ref) -> pa.Table:
-                bad = ray.get(_ref)
-                src = batch["src"].to_numpy()
-                dst = batch["dst"].to_numpy()
-                ok = ~(_sorted_member(bad, src) | _sorted_member(bad, dst))
-                return batch.filter(pa.array(ok))
-
-            cur = cur.map_batches(
-                _filter, batch_format="pyarrow", zero_copy_batch=True
-            )
-            lazy_depth += 1
-            if lazy_depth >= 3:
-                cur = _spill_edges(cur)
-                lazy_depth = 0
-        else:
-            keep = deg.map_batches(_keep, batch_format="pyarrow", zero_copy_batch=True)
-            cur = bucket_join(cur, keep, on="src", right_on="vid", how="semi",
-                              num_partitions=num_partitions)
-            cur = bucket_join(cur, keep, on="dst", right_on="vid", how="semi",
-                              num_partitions=num_partitions)
-            lazy_depth = 0
-    if not stats:
-        import ray.data as rd
-
-        return rd.from_arrow(DENSEST_SCHEMA.empty_table())
-    # exact rational argmax of E_r / V_r; ties → earliest round
-    best_r, best_v, best_e = stats[0][0], stats[0][1], stats[0][2]
-    for r, v, e in stats[1:]:
-        if e * best_v > best_e * v:
-            best_r, best_v, best_e = r, v, e
-    base = memb[0]
-    for m in memb[1:]:
-        base = base.union(m)
-    last = grouped_reduce(
-        base, ["vid"], sum_col="r", agg="max", num_partitions=num_partitions
-    )
-
-    def fin(batch: pa.Table, _b=best_r) -> pa.Table:
-        lr = batch["r"].to_numpy()
-        return pa.table(
-            {"vid": batch["vid"], "last_round": pa.array(lr),
-             "in_best": pa.array((lr >= _b).astype(np.int64))},
-            schema=DENSEST_SCHEMA,
-        )
-
-    return last.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
+        return g._result_ds(actors, "state_table", {"last_round": "dlast"}, finish=fin)
+    finally:
+        g.close()
 
 
 ASSORT_SCHEMA = pa.schema(

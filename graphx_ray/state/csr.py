@@ -93,7 +93,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from graphx_ray.ids import part_of
+from graphx_ray.ids import hll_alpha, hll_registers, mix64, part_of
 
 if TYPE_CHECKING:
     # shard actors import this module: keep Ray Data out of their processes
@@ -786,15 +786,11 @@ class CsrShard:
         _write_parquet(tbl, os.path.join(self._wk_rows_dir, f"part-{self.part}-step-{t}.parquet"))
 
     def _wk_base(self, start: np.ndarray, walk: np.ndarray) -> np.ndarray:
-        from graphx_ray.ids import mix64
-
         return mix64(mix64(self._wk_seed ^ start.astype(np.uint64)) ^ walk)
 
     def walk_scatter(self, t: int) -> list:
         """Advance every live walk one step; pack (start, walk, next) per
         destination part. Walks at out-degree-0 vertices terminate."""
-        from graphx_ray.ids import mix64
-
         cur = self.wk_cur
         alive = self.adj_tw[cur] > 0
         start = self.wk_start[alive]
@@ -897,8 +893,6 @@ class CsrShard:
     def n2v_scatter(self, t: int) -> list:
         """Advance every live node2vec walk one biased step; pack
         (start, walk, next, prev, N(prev)) per destination part."""
-        from graphx_ray.ids import mix64
-
         cur = self.wk_cur
         alive = self.adj_tw[cur] > 0
         aidx = np.flatnonzero(alive)
@@ -1031,8 +1025,6 @@ class CsrShard:
         fits int64), 0 for inactive — max-merge identity. p_r(v) =
         mix64(mix64(base ^ r) ^ v): base is the seed for a plain MIS and
         mix64(seed ^ c) for color c of greedy coloring."""
-        from graphx_ray.ids import mix64
-
         round_const = mix64(np.uint64(base) ^ np.uint64(r))
         p = mix64(round_const ^ self.owned.astype(np.uint64))
         v = (p >> np.uint64(3)).astype(np.int64) + 1
@@ -1198,8 +1190,6 @@ class CsrShard:
         """Round r's active-edge priorities (C_r = mix64(seed ^ r)) +
         per-owned-vertex best tuples; returns the hub best partial (None
         on an unsalted view)."""
-        from graphx_ray.ids import mix64
-
         round_const = mix64(np.uint64(seed) ^ np.uint64(r))
         dflag = self._per_edge(self._my_parts(flag_refs, j), bool)
         hub_matched = None if self.hub_val is None else self.hub_val >= 0
@@ -1525,8 +1515,6 @@ class CsrShard:
     def pivot_candidates(self, k: int, seed: int) -> tuple:
         """This shard's k smallest (mix64(seed ^ vid), vid) pairs — the
         driver merges P·k pairs and keeps the global k (deterministic)."""
-        from graphx_ray.ids import mix64
-
         h = mix64(np.uint64(seed) ^ self.owned.astype(np.uint64))
         order = np.argsort(h, kind="stable")[: int(k)]
         return h[order], self.owned[order]
@@ -2103,11 +2091,11 @@ class CsrShard:
     # per-vertex c vectors never leave the actors.
 
     def hindex_init(self) -> int:
-        """c⁰ = degree (Σw over the symmetric out-slice). Returns n."""
+        """val = c⁰ = degree (Σw over the symmetric out-slice). Returns n."""
         if len(self.hubs):
             raise ValueError("coreness requires unsalted staging "
                              "(hub splitting breaks neighborhood locality)")
-        self.cval = np.rint(self.outdeg).astype(np.int64)
+        self.val = np.rint(self.outdeg).astype(np.int64)
         return self.n
 
     def hindex_ghost_vals(self) -> list:
@@ -2115,7 +2103,7 @@ class CsrShard:
         unique-dst slice destined to this part (the cached ghost index
         from the one-time exchange) — the pull mirror of the scatter
         path's push."""
-        return [self.cval[loc] for loc in self.ghost_locals]
+        return [self.val[loc] for loc in self.ghost_locals]
 
     def hindex_step(self, sender_refs: list, j: int) -> int:
         """One H-index round: expand the owners' c values over this
@@ -2132,11 +2120,80 @@ class CsrShard:
         rank = np.arange(self.m) - np.repeat(starts, lens) + 1
         h = np.maximum.reduceat(np.minimum(rank, nci), starts)
         loc = np.searchsorted(self.owned, vi[starts])
-        newc = self.cval.copy()
+        newc = self.val.copy()
         newc[loc] = h
-        changed = int((newc != self.cval).sum())
-        self.cval = newc
+        changed = int((newc != self.val).sum())
+        self.val = newc
         return changed
+
+    # ----------------------------------------------- densest-subgraph peel
+    # (Bahmani, Kumar & Vazirani 2012.) ``val`` is the alive flag (1.0 /
+    # 0.0, sent along the canonical simple graph and summed by
+    # ``scatter_user``); round r's degrees come from one exchange, and
+    # every shard folds the P partial (V, 2E) itself, so the peel and
+    # the best prefix are decided on the shards, identically everywhere.
+
+    def densest_degrees(self, sender_refs: list, j: int) -> tuple:
+        """Round degrees: alive neighbors of every alive vertex. Returns
+        this part's (V, 2E) partial: the vertices with degree > 0, and
+        their degree sum."""
+        acc = self._combine(self._my_parts(sender_refs, j), "sum", np.float64)
+        self.ddeg = np.where(self.val > 0, acc, 0).astype(np.int64)
+        return int((self.ddeg > 0).sum()), int(self.ddeg.sum())
+
+    def densest_peel(self, factor: int, r: int, *partials: tuple) -> tuple:
+        """Round r of the peel with the global V and E = Σdeg/2: every
+        vertex with degree > 0 was in round r (``dlast``); those with
+        deg·V ≤ factor·E leave, as do the isolated ones. The best prefix
+        is the exact rational argmax of E/V, ties → earliest round.
+        Round 0 starts ``dlast`` at −1 and the best at none. Returns
+        (V, E, best round, vertices dropped here)."""
+        if r == 0:
+            self.dlast = np.full(self.n, -1, np.int64)
+            self.dbest = None
+        n_v = sum(p[0] for p in partials)
+        n_e = sum(p[1] for p in partials) // 2
+        live = self.ddeg > 0
+        self.dlast[live] = r
+        drop = live & (self.ddeg * n_v <= factor * n_e)
+        self.val = np.where(live & ~drop, 1.0, 0.0)
+        if n_v and (self.dbest is None or n_e * self.dbest[1] > self.dbest[2] * n_v):
+            self.dbest = (r, n_v, n_e)
+        best = self.dbest[0] if self.dbest else -1
+        return n_v, n_e, best, int(drop.sum())
+
+    # --------------------------------------------------- HyperANF counters
+
+    def hll_fold(self, p: int, t: int) -> int:
+        """HyperANF's ball fold at step t: every vertex's 2^p HLL registers
+        (``val``, one int64 row per vertex, merged by the
+        ``scatter_max``/``gather_max`` exchange) estimate |ball(v, t)|,
+        kept as ``floor(est + 0.5)`` in column t of ``balls``. At t = 0
+        each counter starts as {v}. The sum runs over the present
+        registers (rho > 0) in ascending register order, then adds the
+        m − present absent ones (2⁰ each); the linear-counting correction
+        covers the small range. Returns Σ ball over the vertices with an
+        edge (the neighborhood function N(t) of this part)."""
+        m = 1 << p
+        if t == 0:
+            reg, rho = hll_registers(mix64(self.owned.astype(np.uint64)), p)
+            self.val = np.zeros((self.n, m), np.int64)
+            self.val[np.arange(self.n), reg] = rho
+            self.balls = np.empty((self.n, 0), np.int64)
+        present = self.val > 0
+        npres = present.sum(axis=1)
+        ball = np.empty(self.n, np.int64)
+        if self.n:
+            starts = np.cumsum(npres) - npres
+            s = np.add.reduceat(np.power(2.0, -self.val[present].astype(np.float64)), starts)
+            zeros = m - npres
+            raw = hll_alpha(m) * m * m / (s + zeros)
+            with np.errstate(divide="ignore"):
+                lin = m * np.log(m / np.maximum(zeros, 1).astype(np.float64))
+            est = np.where((raw <= 2.5 * m) & (zeros > 0), lin, raw)
+            ball = np.floor(est + 0.5).astype(np.int64)
+        self.balls = np.column_stack([self.balls, ball])
+        return int(ball[self.outdeg > 0].sum())
 
     # ------------------------------------------------ checkpoints and results
 
@@ -2146,7 +2203,10 @@ class CsrShard:
         part."""
         t = {"vid": pa.array(self.owned, type=pa.int64())}
         for col, attr in cols.items():
-            t[col] = pa.array(getattr(self, attr))
+            v = getattr(self, attr)
+            # a 2-D vector becomes a fixed-size list column, a row per vertex
+            t[col] = (pa.array(v) if v.ndim == 1 else
+                      pa.FixedSizeListArray.from_arrays(pa.array(v.ravel()), v.shape[1]))
         return pa.table(t)
 
     def load_state(self, path: str, cols: dict) -> None:

@@ -1,9 +1,9 @@
 """Edge-partitioned truss-decomposition actor pool.
 
-The storage-round composition in ``structural.trussness`` pays ~6 full
-spill passes of the (3 rows per triangle) incidence table PER ROUND, and
-the H-index fixpoint runs for tens of synchronous rounds on dense graphs
-(68 at the sf0.1 co-occurrence graph) — measured 563 s where the triangle
+Run as Ray Data storage rounds, truss decomposition pays ~6 full spill
+passes of the (3 rows per triangle) incidence table PER ROUND, and the
+H-index fixpoint runs for tens of synchronous rounds on dense graphs (68
+at the sf0.1 co-occurrence graph) — measured 563 s where the triangle
 enumeration itself is ~6 s. This module is the coreness-engine answer
 (`state/csr.py` hindex_*): the incidence table is hash-partitioned by
 OWNING EDGE once, each shard pins its rows plus a one-time ghost index

@@ -163,3 +163,40 @@ def test_sources_compile_with_warnings_as_errors():
             except SyntaxError as e:
                 failed.append(f"{os.path.relpath(path, ROOT)}: {e}")
     assert failed == []
+
+
+def test_peel_and_ball_fixpoints_run_no_storage_round_in_a_loop():
+    """k-core, k-truss, trussness, densest subgraph and HyperANF run their
+    rounds on the shards: none of them, nor a helper of its own module
+    that it calls, runs a storage shuffle or spill inside a ``for`` or
+    ``while`` body."""
+    storage = {"bucket_join", "grouped_reduce", "partitioned_map", "degrees",
+               "write_parquet", "_spill_edges"}
+    roots = {
+        os.path.join(ROOT, "graphx_ray", "stages", "structural.py"):
+            ["k_core", "k_truss", "trussness", "densest_subgraph"],
+        os.path.join(ROOT, "graphx_ray", "pipelines", "hyperanf.py"): ["hyperanf"],
+    }
+
+    def name(call: ast.Call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    bad = []
+    for path, names in roots.items():
+        with open(path) as f:
+            tree = ast.parse(f.read())
+        defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        todo, seen = list(names), set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen or fn not in defs:
+                continue
+            seen.add(fn)
+            for node in ast.walk(defs[fn]):
+                if isinstance(node, ast.Call):
+                    todo.append(name(node))
+                if isinstance(node, (ast.For, ast.While)):
+                    bad += [f"{fn}:{c.lineno} {name(c)}" for c in ast.walk(node)
+                            if isinstance(c, ast.Call) and name(c) in storage]
+    assert bad == []

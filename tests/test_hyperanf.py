@@ -6,8 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from graphx_ray.functions.sketch import _alpha, _registers
-from graphx_ray.ids import mix64
+from graphx_ray.ids import hll_alpha, hll_registers, mix64
 from graphx_ray.pipelines.hyperanf import hyperanf
 from oracles import fixture_graphs
 
@@ -42,13 +41,13 @@ def anf_oracle(edges_df, *, p, iters) -> pd.DataFrame:
     """Exact simulation: per (v, t) fold the singleton registers of every
     ball member — identical semantics to register max-exchange."""
     m = 1 << p
-    alpha = _alpha(m)
+    alpha = hll_alpha(m)
     balls = _balls(edges_df, iters)
     rows = []
     for t, per_v in balls.items():
         for v, members in per_v.items():
             mem = np.array(sorted(members), np.uint64)
-            reg, rho = _registers(mix64(mem), p)
+            reg, rho = hll_registers(mix64(mem), p)
             dense = np.zeros(m, np.int64)
             np.maximum.at(dense, reg, rho)
             s = np.sum(np.power(2.0, -dense.astype(np.float64)))

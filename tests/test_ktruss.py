@@ -1,11 +1,11 @@
-"""k-truss vs networkx on random graphs; edge_support vs brute force."""
+"""k-truss vs networkx on random graphs."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data as rd
 
-from graphx_ray.stages.structural import edge_support, k_truss
+from graphx_ray.stages.structural import k_truss
 
 
 def _rand_edges(seed, n=40, m=220):
@@ -20,25 +20,6 @@ def _canon(df):
     v = np.maximum(df["src"], df["dst"])
     keep = u != v
     return pd.DataFrame({"u": u[keep], "v": v[keep]}).drop_duplicates()
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_edge_support_brute(ray_session, seed):
-    df = _rand_edges(seed)
-    canon = _canon(df)
-    adj = {}
-    for u, v in canon.itertuples(index=False):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    want = {
-        (u, v): len(adj[u] & adj[v]) for u, v in canon.itertuples(index=False)
-    }
-    want = {e: c for e, c in want.items() if c > 0}
-    got = edge_support(
-        rd.from_pandas(canon.reset_index(drop=True)), num_partitions=3
-    ).to_pandas()
-    got_d = {(u, v): n for u, v, n in got.itertuples(index=False)}
-    assert got_d == want
 
 
 @pytest.mark.parametrize("seed,k", [(3, 3), (3, 4), (4, 5)])

@@ -9,12 +9,8 @@ import pytest
 import ray
 
 from graphx_ray.pipelines.graph import Graph
-from graphx_ray.pipelines.louvain import (
-    louvain_multilevel,
-    louvain_replay,
-    modularity_num,
-)
-from oracles import fixture_graphs
+from graphx_ray.pipelines.louvain import louvain_multilevel
+from oracles import fixture_graphs, louvain_replay, modularity_num
 
 FIX = fixture_graphs()
 
